@@ -25,56 +25,17 @@ from typing import Mapping, Optional
 
 from .model import (
     Edge,
-    Face,
+    FaceLookup,
     Instance,
     InputError,
     Layout,
     SpineOrder,
     Vertex,
-    _nested_pairs,
-    faces,
+    alternates,
     super_intervals,
 )
 from .oracle import assemble_spine
 from .solvers import SolveStats
-
-
-class FaceLookup:
-    """Per-page, per-gap chains of nested faces of a fixed layout.
-
-    The chain at a gap lists the faces spanning it from the outer face
-    inward; depths are consecutive, so the face at depth ``d`` is the
-    chain entry ``d`` and the deepest face is the last entry.
-    """
-
-    def __init__(self, layout: Layout):
-        self.layout = layout
-        self._chains: dict[tuple[int, int], tuple[Face, ...]] = {}
-        gaps = len(layout.spine) + 1
-        for p in range(1, layout.ell + 1):
-            fs = faces(layout, p)
-            for g in range(1, gaps + 1):
-                self._chains[(p, g)] = tuple(f for f in fs if f.spans(g))
-        self._nested: dict[Face, tuple[tuple[int, int], ...]] = {}
-
-    def chain(self, page: int, gap: int) -> tuple[Face, ...]:
-        return self._chains[(page, gap)]
-
-    def face_at(self, page: int, gap: int, depth: int) -> Optional[Face]:
-        ch = self._chains[(page, gap)]
-        return ch[depth] if 0 <= depth < len(ch) else None
-
-    def deepest(self, page: int, gap: int) -> int:
-        return len(self._chains[(page, gap)]) - 1
-
-    def incident(self, f: Face, w: Vertex) -> bool:
-        """Whether ``w`` lies on the boundary region of face ``f``."""
-        if f not in self._nested:
-            self._nested[f] = tuple(_nested_pairs(self.layout, f))
-        rw = self.layout.rank_of(w)
-        if not (f.gap_lo - 1 <= rw <= f.gap_hi):
-            return False
-        return all(not (y < rw < z) for y, z in self._nested[f])
 
 
 @dataclass(frozen=True)
@@ -125,26 +86,17 @@ def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
         raise InputError("branch depth out of range")
 
 
-def _h_pairs_by_page(inst: Instance) -> dict[int, list[tuple[int, int]]]:
-    layout = inst.layout_h
-    out: dict[int, list[tuple[int, int]]] = {p: [] for p in range(1, inst.ell + 1)}
-    for e, p in layout.page_of.items():
-        a, b = layout.rank_of(e[0]), layout.rank_of(e[1])
-        out[p].append((a, b) if a < b else (b, a))
-    return out
-
-
 def _old_crossing(inst: Instance, pages: Mapping[Edge, int]) -> bool:
     # new edges between old vertices, against the fixed edges and each other
     layout = inst.layout_h
-    by_page = _h_pairs_by_page(inst)
     placed: dict[int, list[tuple[int, int]]] = {}
     for e in inst.new_old_edges:
         p = pages[e]
-        a, b = sorted((layout.rank_of(e[0]), layout.rank_of(e[1])))
-        for x, y in itertools.chain(by_page[p], placed.get(p, ())):
-            if x < a < y < b or a < x < b < y:
-                return True
+        a, b = sorted((2 * layout.rank_of(e[0]), 2 * layout.rank_of(e[1])))
+        if p not in inst.lookup.pages_fitting(a, b) or any(
+            alternates(x, y, a, b) for x, y in placed.get(p, ())
+        ):
+            return True
         placed.setdefault(p, []).append((a, b))
     return False
 
@@ -179,7 +131,7 @@ def _implied_crossing(inst: Instance, branch: BranchAssignment) -> bool:
             continue
         if set(e1) & set(e2):
             continue
-        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+        if alternates(a1, b1, a2, b2):
             return True
     return False
 
@@ -303,7 +255,7 @@ def dp_table(
     """Run the gap sweep for one branch and return the state table."""
     _validate_branch(inst, branch)
     if lookup is None:
-        lookup = FaceLookup(inst.layout_h)
+        lookup = inst.lookup
     place_ok, shift_ok = _sweep_tables(inst, branch, lookup)
     n = inst.n_add
     gaps = inst.gap_count
@@ -424,7 +376,7 @@ def solve_fpt(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[La
     """
     if stats is not None:
         stats.algorithm = "dp-fpt"
-    lookup = FaceLookup(inst.layout_h)
+    lookup = inst.lookup
     deep = _deep_edges(inst)
     for pages, order, sup_tuple in _branch_loop(inst, stats):
         supmap = dict(zip(order, sup_tuple))
@@ -461,7 +413,7 @@ def branch_of_solution(inst: Instance, sol: Layout) -> BranchAssignment:
     supers = {
         v: next(s.index for s in sups if s.contains_gap(g)) for v, g in gap.items()
     }
-    lookup = FaceLookup(inst.layout_h)
+    lookup = inst.lookup
     old = inst.h.vertex_set
     depths = {}
     for e in _deep_edges(inst):
@@ -489,32 +441,25 @@ def solve_greedy_is(
         raise InputError("first-fit solver needs pairwise non-adjacent new vertices")
     layout = inst.layout_h
     sups = super_intervals(inst)
-    by_page = _h_pairs_by_page(inst)
-
-    def visible(g: int, u: Vertex, p: int) -> bool:
-        a, b = sorted((2 * g - 1, 2 * layout.rank_of(u)))
-        return all(
-            not (2 * x < a < 2 * y < b or a < 2 * x < b < 2 * y)
-            for x, y in by_page[p]
-        )
+    fits = inst.lookup.pages_fitting
 
     for pages, order, sup_tuple in _branch_loop(inst, stats):
         if stats is not None:
             stats.branches += 1
-        anchored: dict[Vertex, list[tuple[int, Vertex]]] = {v: [] for v in order}
+        anchored: dict[Vertex, list[tuple[int, int]]] = {v: [] for v in order}
         for e in _deep_edges(inst):
             u, v = e
             if u in old:
-                anchored[v].append((pages[e], u))
+                anchored[v].append((pages[e], 2 * layout.rank_of(u)))
             else:
-                anchored[u].append((pages[e], v))
+                anchored[u].append((pages[e], 2 * layout.rank_of(v)))
         ptr = 1
         placements: list[tuple[int, Vertex]] = []
         for t, v in enumerate(order):
             s = sups[sup_tuple[t]]
             ptr = max(ptr, s.gap_lo)
             while ptr <= s.gap_hi and not all(
-                visible(ptr, u, p) for p, u in anchored[v]
+                p in fits(2 * ptr - 1, u2) for p, u2 in anchored[v]
             ):
                 ptr += 1
             if ptr > s.gap_hi:

@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Optional, Sequence
 
-from .model import InputError, Instance, edge, make_instance
+from .model import InputError, Instance, alternates, edge, make_instance
 from .reductions import CliqueInstance
 
 
@@ -28,7 +28,7 @@ def gen_random(
     rejected rather than looped forever.  New edges are sampled from all
     remaining vertex pairs, so they may also join two old vertices.
     """
-    if nh < 0 or mh < 0 or n_add < 0 or m_add < 0:
+    if min(nh, mh, n_add, m_add) < 0:
         raise InputError("sizes must be non-negative")
     if ell < 1:
         raise InputError(f"page count must be positive, got {ell}")
@@ -50,7 +50,7 @@ def gen_random(
                 continue
             p = rng.randrange(1, ell + 1)
             a, b = sorted((rank[u], rank[v]))
-            if any(x < a < y < b or a < x < b < y for x, y in on_page[p]):
+            if any(alternates(x, y, a, b) for x, y in on_page[p]):
                 continue
             chosen.add(e)
             on_page[p].append((a, b))

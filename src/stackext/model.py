@@ -17,12 +17,15 @@ Conventions used throughout the package:
   between spine positions ``i - 1`` and ``i``, so a spine with ``n``
   vertices has gaps ``1 .. n + 1``,
 * pages are 1-based: ``1 .. ell``,
-* face depth 0 is the outer face of a page.
+* face depth 0 is the outer face of a page,
+* geometry uses doubled positions: the vertex of rank ``r`` sits at
+  ``2r`` and gap ``g`` at ``2g - 1``, so one integer line holds both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -175,26 +178,83 @@ def make_layout(
 
 
 # ---------------------------------------------------------------------------
-# basic predicates
+# geometry kernel
+#
+# Positions are doubled so that gaps fit between vertex ranks as integers:
+# the vertex of rank r sits at 2r, gap g sits at 2g - 1.  Every crossing,
+# visibility and face question about a layout is answered here.
 
 
-def crosses(spine: SpineOrder, e1: Edge, e2: Edge) -> bool:
-    """Do two edges cross when drawn on the same page of this spine?
+def alternates(a, b, c, d) -> bool:
+    """Do the spans ``a < b`` and ``c < d`` interleave along the spine?
 
-    Edges cross exactly when their four endpoints are distinct and
-    alternate along the spine.  Edges sharing an endpoint never cross.
+    Two same-page edges cross exactly when their spans alternate; spans
+    sharing an endpoint never do.  Works for any comparable positions.
     """
-    a, b = sorted((spine.rank_of(e1[0]), spine.rank_of(e1[1])))
-    c, d = sorted((spine.rank_of(e2[0]), spine.rank_of(e2[1])))
     return a < c < b < d or c < a < d < b
+
+
+def _spans(layout: Layout, p: Page) -> list[tuple[int, int]]:
+    # doubled ``(lo, hi)`` spans of page ``p``, in ``edges_on_page`` order
+    out = []
+    for u, v in layout.edges_on_page(p):
+        a, b = 2 * layout.rank_of(u), 2 * layout.rank_of(v)
+        out.append((a, b) if a < b else (b, a))
+    return out
+
+
+def _stack_scan(spans, probes=()):
+    """One left-to-right sweep over a page's arcs with a stack of open arcs.
+
+    A page is crossing-free exactly when its arcs nest like balanced
+    parentheses (Bernhart & Kainen 1979).  Arcs open in order of ``lo``,
+    longer first on ties; an arc that opens under the top of the stack
+    but closes beyond it alternates with it, and every alternating pair
+    shows up this way.  ``spans`` holds ``(lo, hi)`` pairs, ``lo < hi``.
+
+    Returns ``(crossing, depths, enclosing)``.  ``crossing`` is ``None``
+    or the indices of an alternating pair, at which the sweep stops.
+    ``depths[i]`` is the stack height once arc ``i`` has opened: the
+    number of arcs containing it, itself included.  ``enclosing[t]``
+    lists the arcs strictly enclosing position ``probes[t]``, outermost
+    first.
+    """
+    events = sorted(
+        [(lo, 1, -hi, i) for i, (lo, hi) in enumerate(spans)]
+        + [(q, 0, 0, t) for t, q in enumerate(probes)]
+    )
+    stack: list[int] = []
+    depths = [0] * len(spans)
+    enclosing: list[tuple[int, ...]] = [()] * len(probes)
+    for pos, is_arc, neg_hi, i in events:
+        while stack and spans[stack[-1]][1] <= pos:
+            stack.pop()
+        if not is_arc:
+            enclosing[i] = tuple(stack)
+        elif stack and spans[stack[-1]][1] < -neg_hi:
+            return (stack[-1], i), depths, enclosing
+        else:
+            stack.append(i)
+            depths[i] = len(stack)
+    return None, depths, enclosing
+
+
+def find_crossing(layout: Layout) -> Optional[tuple[Edge, Edge, Page]]:
+    """A same-page crossing pair, edges sorted, on the first page with one."""
+    for p in range(1, layout.ell + 1):
+        crossing, _, _ = _stack_scan(_spans(layout, p))
+        if crossing is not None:
+            page = layout.edges_on_page(p)
+            e1, e2 = sorted(page[i] for i in crossing)
+            return e1, e2, p
+    return None
 
 
 def is_valid(graph: Graph, layout: Layout) -> bool:
     """Is ``layout`` a valid stack layout of ``graph``?
 
     Requires the spine to order exactly the graph's vertices, a page in
-    range for every edge, and no same-page crossing.  Quadratic in the
-    number of edges.
+    range for every edge, and no same-page crossing.
     """
     if len(layout.spine) != len(graph.vertices):
         return False
@@ -202,24 +262,7 @@ def is_valid(graph: Graph, layout: Layout) -> bool:
         return False
     if set(layout.page_of) != graph.edge_set:
         return False
-    for p in range(1, layout.ell + 1):
-        page = layout.edges_on_page(p)
-        for i, e1 in enumerate(page):
-            for e2 in page[i + 1 :]:
-                if crosses(layout.spine, e1, e2):
-                    return False
-    return True
-
-
-def find_crossing(layout: Layout) -> Optional[tuple[Edge, Edge, Page]]:
-    """First same-page crossing pair in canonical order, if any."""
-    for p in range(1, layout.ell + 1):
-        page = layout.edges_on_page(p)
-        for i, e1 in enumerate(page):
-            for e2 in page[i + 1 :]:
-                if crosses(layout.spine, e1, e2):
-                    return e1, e2, p
-    return None
+    return find_crossing(layout) is None
 
 
 def extends(layout_g: Layout, layout_h: Layout) -> bool:
@@ -242,57 +285,6 @@ def extends(layout_g: Layout, layout_h: Layout) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# visibility
-#
-# Positions are doubled so that gaps fit between vertex ranks as integers:
-# vertex with rank r sits at 2r, gap g sits at 2g - 1.
-
-
-def _gap_pos(g: GapIndex) -> int:
-    return 2 * g - 1
-
-
-def _blocked(pairs: Iterable[tuple[int, int]], a: int, b: int) -> bool:
-    # a < b are positions; blocked iff some pair alternates with (a, b)
-    for x, y in pairs:
-        if x < a < y < b or a < x < b < y:
-            return True
-    return False
-
-
-def _page_pairs(layout: Layout, p: Page) -> list[tuple[int, int]]:
-    out = []
-    for u, v in layout.edges_on_page(p):
-        ru, rv = layout.rank_of(u), layout.rank_of(v)
-        if ru > rv:
-            ru, rv = rv, ru
-        out.append((2 * ru, 2 * rv))
-    return out
-
-def sees(layout: Layout, u: Vertex, v: Vertex, p: Page) -> bool:
-    """Could the edge ``uv`` be added to page ``p`` without a crossing?
-
-    Edges incident to ``u`` or to ``v`` never block, matching the
-    crossing rule.  Symmetric in ``u`` and ``v``.
-    """
-    a, b = sorted((2 * layout.rank_of(u), 2 * layout.rank_of(v)))
-    return not _blocked(_page_pairs(layout, p), a, b)
-
-
-def gap_sees_vertex(layout: Layout, g: GapIndex, u: Vertex, p: Page) -> bool:
-    """Would a vertex dropped into gap ``g`` see ``u`` on page ``p``?
-
-    Equivalent to :func:`sees` with one endpoint replaced by the gap
-    position.  Used by the greedy solvers, which place new vertices gap
-    by gap.
-    """
-    if not 1 <= g <= len(layout.spine) + 1:
-        raise InputError(f"gap {g} outside 1..{len(layout.spine) + 1}")
-    a, b = sorted((_gap_pos(g), 2 * layout.rank_of(u)))
-    return not _blocked(_page_pairs(layout, p), a, b)
-
-
-# ---------------------------------------------------------------------------
 # pages as plane subdivisions
 
 
@@ -302,7 +294,7 @@ def page_width(layout: Layout) -> int:
     best = 0
     for p in range(1, layout.ell + 1):
         diff = [0] * (n + 3)
-        for a, b in _page_pairs(layout, p):
+        for a, b in _spans(layout, p):
             lo, hi = a // 2 + 1, b // 2  # spanned gaps
             if lo <= hi:
                 diff[lo] += 1
@@ -338,96 +330,104 @@ class Face:
         return self.gap_lo <= g <= self.gap_hi
 
 
+def _page_faces(layout: Layout, p: Page, probes=()):
+    # faces of page ``p``'s arcs in ``edges_on_page`` order, plus the
+    # arcs enclosing each probe position, from one stack scan
+    page = layout.edges_on_page(p)
+    spans = _spans(layout, p)
+    crossing, depths, enclosing = _stack_scan(spans, probes)
+    if crossing is not None:
+        raise InputError(f"page {p} is not crossing-free")
+    arcs = [
+        Face(p, e, d, lo // 2 + 1, hi // 2)
+        for e, (lo, hi), d in zip(page, spans, depths)
+    ]
+    return arcs, enclosing
+
+
 def faces(layout: Layout, p: Page) -> tuple[Face, ...]:
     """All faces of page ``p``: the outer face plus one per assigned edge.
 
-    Only meaningful for layouts whose page ``p`` is crossing-free; the
-    faces of a crossing-free page are laterally ordered by containment,
-    and an edge's depth is the number of edges enclosing it (endpoints
-    shared with the enclosing edge count as enclosed).
+    The faces of a crossing-free page are laterally ordered by
+    containment, and an edge's depth is the number of edges enclosing it
+    (endpoints shared with the enclosing edge count as enclosed).
+    Raises :class:`InputError` if page ``p`` has a crossing.
     """
-    n = len(layout.spine)
-    page = layout.edges_on_page(p)
-    spans = []
-    for u, v in page:
-        ru, rv = layout.rank_of(u), layout.rank_of(v)
-        if ru > rv:
-            ru, rv = rv, ru
-        spans.append((ru, rv))
-    out = [Face(p, None, 0, 1, n + 1)]
-    for e, (ru, rv) in zip(page, spans):
-        depth = 1 + sum(
-            1
-            for f, (su, sv) in zip(page, spans)
-            if f != e and su <= ru and rv <= sv
-        )
-        out.append(Face(p, e, depth, ru + 1, rv))
+    arcs, _ = _page_faces(layout, p)
+    out = [Face(p, None, 0, 1, len(layout.spine) + 1), *arcs]
     out.sort(key=lambda f: (f.depth, f.gap_lo, f.gap_hi))
     return tuple(out)
 
 
-def face_chain(layout: Layout, p: Page, g: GapIndex) -> tuple[Face, ...]:
-    """Faces spanning gap ``g``, outermost first.
+def _doubled(f: Face) -> tuple[int, int]:
+    # doubled span of a face's bounding edge; the outer face reaches one
+    # position beyond either end of the spine
+    return 2 * f.gap_lo - 2, 2 * f.gap_hi
 
-    On a crossing-free page the spanning faces are totally ordered by
-    containment and their depths are exactly ``0 .. len(chain) - 1``.
+
+class FaceLookup:
+    """Index of a crossing-free fixed layout: faces, chains and visibility.
+
+    Built with one stack scan per page.  The chain at a gap lists the
+    faces spanning it from the outer face inward; depths are consecutive,
+    so the face at depth ``d`` is chain entry ``d`` and the deepest face
+    is the last entry.  Raises :class:`InputError` on a crossing.
     """
-    chain = [f for f in faces(layout, p) if f.spans(g)]
-    chain.sort(key=lambda f: f.depth)
-    return tuple(chain)
 
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        n = len(layout.spine)
+        self._chains: dict[tuple[int, int], tuple[Face, ...]] = {}
+        # per page and doubled position: span of the innermost face
+        # strictly enclosing that position
+        self._inner: dict[int, list[tuple[int, int]]] = {}
+        self._fits: dict[tuple[int, int], frozenset[int]] = {}
+        for p in range(1, layout.ell + 1):
+            arcs, enclosing = _page_faces(layout, p, range(2 * n + 2))
+            outer = Face(p, None, 0, 1, n + 1)
+            chains = [(outer, *(arcs[i] for i in ids)) for ids in enclosing]
+            for g in range(1, n + 2):
+                self._chains[(p, g)] = chains[2 * g - 1]
+            self._inner[p] = [_doubled(ch[-1]) for ch in chains]
 
-def face_at_distance(
-    layout: Layout, p: Page, g: GapIndex, d: int
-) -> Optional[Face]:
-    """The face at depth ``d`` over gap ``g``, or ``None`` if the stack
-    of edges over ``g`` is shallower than ``d``."""
-    chain = face_chain(layout, p, g)
-    if 0 <= d < len(chain):
-        return chain[d]
-    return None
+    def chain(self, page: int, gap: int) -> tuple[Face, ...]:
+        return self._chains[(page, gap)]
 
+    def face_at(self, page: int, gap: int, depth: int) -> Optional[Face]:
+        ch = self._chains[(page, gap)]
+        return ch[depth] if 0 <= depth < len(ch) else None
 
-def _nested_pairs(layout: Layout, face: Face) -> list[tuple[int, int]]:
-    # rank spans of the page's edges lying inside ``face``
-    pairs = []
-    for u, v in layout.edges_on_page(face.page):
-        e = edge(u, v)
-        if e == face.edge:
-            continue
-        ru, rv = layout.rank_of(u), layout.rank_of(v)
-        if ru > rv:
-            ru, rv = rv, ru
-        if face.is_outer or (face.gap_lo - 1 <= ru and rv <= face.gap_hi):
-            pairs.append((ru, rv))
-    return pairs
+    def deepest(self, page: int, gap: int) -> int:
+        return len(self._chains[(page, gap)]) - 1
 
+    def incident(self, f: Face, w: Vertex) -> bool:
+        """Whether spine vertex ``w`` lies on the boundary of face ``f``.
 
-def vertex_incident(layout: Layout, face: Face, w: Vertex) -> bool:
-    """Is spine vertex ``w`` on the boundary of ``face``?
+        A vertex belongs to the deepest face covering it, and to every
+        face whose bounding edge it ends.
+        """
+        r2 = 2 * self.layout.rank_of(w)
+        span = _doubled(f)
+        return r2 in span or self._inner[f.page][r2] == span
 
-    A vertex belongs to the deepest face covering it: it must lie inside
-    the face's span (endpoints of the bounding edge included) and no edge
-    nested in the face may strictly cover it.
-    """
-    rw = layout.rank_of(w)
-    if not face.is_outer:
-        if not (face.gap_lo - 1 <= rw <= face.gap_hi):
-            return False
-    return not any(ru < rw < rv for ru, rv in _nested_pairs(layout, face))
+    def pages_fitting(self, a2: int, b2: int) -> frozenset[int]:
+        """Pages on which the span between doubled positions ``a2`` and
+        ``b2`` alternates with no fixed edge, memoised.
 
-
-def gap_incident(layout: Layout, face: Face, g: GapIndex) -> bool:
-    """Is gap ``g`` open into ``face``?
-
-    True exactly when the face spans the gap and no edge nested in the
-    face spans it too, i.e. when the face is the deepest one over ``g``.
-    """
-    if not face.spans(g):
-        return False
-    return not any(
-        ru + 1 <= g <= rv for ru, rv in _nested_pairs(layout, face)
-    )
+        On a crossing-free page the edges strictly enclosing a position
+        nest, so the span is blocked exactly when the innermost edge
+        around one end closes or opens strictly between the two ends.
+        """
+        if b2 < a2:
+            a2, b2 = b2, a2
+        fit = self._fits.get((a2, b2))
+        if fit is None:
+            fit = self._fits[(a2, b2)] = frozenset(
+                p
+                for p, inner in self._inner.items()
+                if inner[a2][1] >= b2 and inner[b2][0] <= a2
+            )
+        return fit
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +521,11 @@ class Instance:
     def gap_count(self) -> int:
         return len(self.layout_h.spine) + 1
 
+    @cached_property
+    def lookup(self) -> FaceLookup:
+        """Index of the fixed layout, built on first use."""
+        return FaceLookup(self.layout_h)
+
     def is_solution(self, layout: Layout) -> bool:
         return is_valid(self.g, layout) and extends(layout, self.layout_h)
 
@@ -571,7 +576,10 @@ def super_intervals(inst: Instance) -> tuple[SuperInterval, ...]:
 
     New vertices only ever need to be located up to the super interval
     containing them: moving a new vertex between gaps of the same super
-    interval never changes which old edges its edges cross.  There are
+    interval never changes its order relative to any endpoint of a new
+    edge, so crossings among new edges stay as they are.  Crossings with
+    fixed edges can change, because a fixed edge may end between two
+    gaps of one super interval; the face sweep reconciles those.  There are
     ``len(inst.incident_old) + 1`` super intervals, hence at most
     ``2 * m_add + 1``.
     """

@@ -12,7 +12,7 @@ import itertools
 import os
 from typing import Iterator, Optional
 
-from .model import Instance, Layout, SpineOrder, Vertex, make_layout
+from .model import InputError, Instance, Layout, SpineOrder, Vertex, make_layout
 
 DEFAULT_CAP = 10**8
 CAP_ENV = "STACKEXT_ORACLE_CAP"
@@ -34,7 +34,13 @@ def search_space(inst: Instance) -> int:
 def _resolve_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get(CAP_ENV, DEFAULT_CAP))
+    raw = os.environ.get(CAP_ENV)
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"{CAP_ENV}={raw!r} is not an integer") from None
 
 
 def spine_extensions(inst: Instance) -> Iterator[tuple[Vertex, ...]]:

@@ -24,8 +24,8 @@ from .model import (
     Layout,
     SpineOrder,
     Vertex,
+    alternates,
     edge,
-    gap_sees_vertex,
 )
 from .oracle import assemble_spine
 
@@ -49,15 +49,9 @@ def candidate_pages(inst: Instance, e: Edge) -> frozenset[int]:
     if e not in set(inst.new_edges):
         raise InputError(f"{e!r} is not a new edge of the instance")
     layout = inst.layout_h
-    a, b = sorted((layout.rank_of(e[0]), layout.rank_of(e[1])))
-    good = set(range(1, inst.ell + 1))
-    for f, p in layout.page_of.items():
-        if p not in good:
-            continue
-        x, y = sorted((layout.rank_of(f[0]), layout.rank_of(f[1])))
-        if x < a < y < b or a < x < b < y:
-            good.discard(p)
-    return frozenset(good)
+    return inst.lookup.pages_fitting(
+        2 * layout.rank_of(e[0]), 2 * layout.rank_of(e[1])
+    )
 
 
 def _removal_order(
@@ -97,16 +91,6 @@ def reduce_safe_edges(inst: Instance) -> tuple[Instance, tuple[Edge, ...]]:
     return Instance(inst.ell, g, inst.h, inst.layout_h), tuple(removed)
 
 
-def _page_fits(
-    h_list: Sequence[tuple[int, int, int]], a: int, b: int, ell: int
-) -> set[int]:
-    good = set(range(1, ell + 1))
-    for x, y, p in h_list:
-        if p in good and (x < a < y < b or a < x < b < y):
-            good.discard(p)
-    return good
-
-
 def _assign_with_fits(new_pairs, fits, ell: int) -> Optional[list[int]]:
     """Page per endpoint pair given per-pair page options, or ``None``.
 
@@ -114,41 +98,35 @@ def _assign_with_fits(new_pairs, fits, ell: int) -> Optional[list[int]]:
     shared vertex, which never blocks.  Pairs that fit on at least as
     many pages as there are pairs left are set aside first and re-added
     greedily afterwards on a page no other pair uses, so only a small
-    core is brute-forced (pages ascending, pairs in given order).
+    core is searched depth-first (pages ascending, pairs in given order),
+    with an explicit stack so that long cores cannot exhaust recursion.
     """
-    order = list(range(len(new_pairs)))
-    remaining = list(order)
-    removed: list[int] = []
-    while True:
-        for i in remaining:
-            if len(fits[i]) >= len(remaining):
-                remaining.remove(i)
-                removed.append(i)
-                break
-        else:
-            break
-
-    chosen: dict[int, int] = {}
+    order = range(len(new_pairs))
+    core, removed = _removal_order(order, {i: len(fits[i]) for i in order})
+    options = [sorted(fits[i]) for i in core]
+    pick = [-1] * len(core)  # per core pair: index of its current page
     added: dict[int, list] = {p: [] for p in range(1, ell + 1)}
-
-    def rec(t: int) -> bool:
-        if t == len(remaining):
-            return True
-        i = remaining[t]
-        a, b = new_pairs[i]
-        for p in sorted(fits[i]):
-            if any(x < a < y < b or a < x < b < y for x, y in added[p]):
-                continue
-            chosen[i] = p
-            added[p].append((a, b))
-            if rec(t + 1):
-                return True
-            added[p].pop()
-            del chosen[i]
-        return False
-
-    if not rec(0):
+    t = 0
+    while 0 <= t < len(core):
+        a, b = new_pairs[core[t]]
+        pages = options[t]
+        if pick[t] >= 0:
+            added[pages[pick[t]]].pop()
+        k = pick[t] + 1
+        while k < len(pages) and any(
+            alternates(x, y, a, b) for x, y in added[pages[k]]
+        ):
+            k += 1
+        if k < len(pages):
+            pick[t] = k
+            added[pages[k]].append((a, b))
+            t += 1
+        else:
+            pick[t] = -1
+            t -= 1
+    if t < 0:
         return None
+    chosen = {i: opts[k] for i, opts, k in zip(core, options, pick)}
     for i in reversed(removed):
         used = set(chosen.values())
         free = sorted(set(fits[i]) - used)
@@ -156,30 +134,6 @@ def _assign_with_fits(new_pairs, fits, ell: int) -> Optional[list[int]]:
             raise RuntimeError("safe-edge invariant violated")
         chosen[i] = free[0]
     return [chosen[i] for i in order]
-
-
-def _edges_only_pages(
-    h_list: Sequence[tuple[int, int, int]],
-    new_pairs: Sequence[tuple[int, int]],
-    ell: int,
-) -> Optional[list[int]]:
-    """Page per new endpoint pair against fixed ``(lo, hi, page)`` triples."""
-    fits: list[set[int]] = []
-    for a, b in new_pairs:
-        fit = _page_fits(h_list, a, b, ell)
-        if not fit:
-            return None
-        fits.append(fit)
-    return _assign_with_fits(new_pairs, fits, ell)
-
-
-def _h_rank_list(layout: Layout) -> list[tuple[int, int, int]]:
-    out = []
-    for e, p in layout.page_of.items():
-        a, b = layout.rank_of(e[0]), layout.rank_of(e[1])
-        out.append((a, b, p) if a < b else (b, a, p))
-    out.sort()
-    return out
 
 
 def solve_edges_only(inst: Instance) -> Optional[Layout]:
@@ -195,10 +149,13 @@ def solve_edges_only(inst: Instance) -> Optional[Layout]:
         raise InputError("edges-only solver needs an instance without new vertices")
     layout = inst.layout_h
     new_pairs = [
-        tuple(sorted((layout.rank_of(u), layout.rank_of(v))))
+        tuple(sorted((2 * layout.rank_of(u), 2 * layout.rank_of(v))))
         for u, v in inst.new_edges
     ]
-    chosen = _edges_only_pages(_h_rank_list(layout), new_pairs, inst.ell)
+    fits = [inst.lookup.pages_fitting(a, b) for a, b in new_pairs]
+    if not all(fits):
+        return None
+    chosen = _assign_with_fits(new_pairs, fits, inst.ell)
     if chosen is None:
         return None
     full = dict(layout.page_of)
@@ -225,17 +182,10 @@ def solve_one_vertex(inst: Instance) -> Optional[Layout]:
         pages = {}
         for e in inst.new_edges:
             u = e[0] if e[1] == v else e[1]
-            p = next(
-                (
-                    p
-                    for p in range(1, inst.ell + 1)
-                    if gap_sees_vertex(layout, g, u, p)
-                ),
-                None,
-            )
-            if p is None:
+            fit = inst.lookup.pages_fitting(2 * g - 1, 2 * layout.rank_of(u))
+            if not fit:
                 break
-            pages[e] = p
+            pages[e] = min(fit)
         else:
             spine = assemble_spine(layout.spine.order, [(g, v)])
             full = dict(layout.page_of)
@@ -267,28 +217,12 @@ def feasible_gaps(inst: Instance) -> dict[Vertex, frozenset[int]]:
             nbrs[u].add(v)
         if v in nbrs and u in old:
             nbrs[v].add(u)
-    pairs_by_page = {
-        p: [
-            tuple(sorted((layout.rank_of(u), layout.rank_of(v))))
-            for u, v in layout.edges_on_page(p)
-        ]
-        for p in range(1, inst.ell + 1)
-    }
     all_gaps = frozenset(range(1, inst.gap_count + 1))
 
     def visible_from(u: Vertex) -> frozenset[int]:
-        ru = layout.rank_of(u)
-        good = []
-        for g in range(1, inst.gap_count + 1):
-            a, b = sorted((2 * g - 1, 2 * ru))  # gap sits between ranks
-            for pairs in pairs_by_page.values():
-                if not any(
-                    2 * x < a < 2 * y < b or a < 2 * x < b < 2 * y
-                    for x, y in pairs
-                ):
-                    good.append(g)
-                    break
-        return frozenset(good)
+        r2 = 2 * layout.rank_of(u)
+        fits = inst.lookup.pages_fitting
+        return frozenset(g for g in all_gaps if fits(2 * g - 1, r2))
 
     seen: dict[Vertex, frozenset[int]] = {}
     out = {}
@@ -323,34 +257,10 @@ def solve_xp(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Lay
     old = inst.h.vertex_set
     ok_gaps = feasible_gaps(inst)
     base_assign = dict(layout.page_of)
-    h_pairs = []
-    for e, p in base_assign.items():
-        a, b = layout.rank_of(e[0]), layout.rank_of(e[1])
-        h_pairs.append((a, b, p) if a < b else (b, a, p))
-
-    # Doubled coordinates: a vertex of rank r sits at 2r, a new vertex
-    # dropped into gap g at 2g - 1, wherever the other insertions land.
-    # Page options per new edge therefore depend only on its endpoint
-    # coordinates and can be cached across spine candidates.
-    def pages_left(a2: int, b2: int) -> frozenset[int]:
-        good = set(range(1, ell + 1))
-        for x, y, p in h_pairs:
-            if p in good:
-                x2, y2 = 2 * x, 2 * y
-                if x2 < a2 < y2 < b2 or a2 < x2 < b2 < y2:
-                    good.discard(p)
-        return frozenset(good)
-
-    cache: dict[tuple[int, int], frozenset[int]] = {}
-
-    def cached_fit(a2: int, b2: int) -> frozenset[int]:
-        if b2 < a2:
-            a2, b2 = b2, a2
-        key = (a2, b2)
-        f = cache.get(key)
-        if f is None:
-            f = cache[key] = pages_left(a2, b2)
-        return f
+    # Doubled coordinates: a new vertex dropped into gap g sits at 2g - 1
+    # wherever the other insertions land, so page options per new edge
+    # depend only on its endpoint positions and are memoised by the index.
+    pages_fitting = inst.lookup.pages_fitting
 
     templates = []
     for u, v in inst.new_edges:
@@ -376,14 +286,14 @@ def solve_xp(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Lay
             pairs = []
             for kind, lhs, rhs in templates:
                 if kind == "oo":
-                    f = cached_fit(2 * lhs, 2 * rhs)
+                    f = pages_fitting(2 * lhs, 2 * rhs)
                     a, b = (2 * lhs, 0), (2 * rhs, 0)
                 elif kind == "ao":
                     g = gap_of[rhs]
-                    f = cached_fit(2 * lhs, 2 * g - 1)
+                    f = pages_fitting(2 * lhs, 2 * g - 1)
                     a, b = (2 * lhs, 0), (2 * g - 1, tie_of[rhs])
                 else:
-                    f = cached_fit(2 * gap_of[lhs] - 1, 2 * gap_of[rhs] - 1)
+                    f = pages_fitting(2 * gap_of[lhs] - 1, 2 * gap_of[rhs] - 1)
                     a = (2 * gap_of[lhs] - 1, tie_of[lhs])
                     b = (2 * gap_of[rhs] - 1, tie_of[rhs])
                 if not f:

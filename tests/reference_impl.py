@@ -277,3 +277,54 @@ def small_dp_corpus(count: int, seed: int) -> list[Instance]:
         if len(out) == count:
             break
     return out
+
+
+# ---------------------------------------------------------------------------
+# planted mid-size instances
+
+
+def planted_instance(
+    seed: int, n_h: int, ell: int, n_add: int, m_add: int, extra: bool = False
+) -> Instance:
+    """Cut-down valid layout: extendable unless ``extra`` adds an edge.
+
+    Each page is drawn as a random bracket sequence over the full spine
+    (an arc closes the most recent open position, so arcs nest), then
+    ``n_add`` vertices are cut out and up to ``m_add`` of the drawn arcs
+    become new edges; cut arcs beyond that budget leave the graph.  With
+    ``extra`` one more new edge joins two old vertices that share no
+    edge, which may make the instance unextendable.
+    """
+    rng = random.Random(seed)
+    total = n_h + n_add
+    spine = [f"p{i:02d}" for i in range(total)]
+    arcs: set[tuple[str, str]] = set()
+    fixed = []
+    for p in range(1, ell + 1):
+        stack: list[int] = []
+        for i in range(total):
+            while stack and rng.random() < 0.4:
+                e = edge(spine[stack.pop()], spine[i])
+                if e not in arcs:
+                    arcs.add(e)
+                    fixed.append((e, p))
+            stack.extend([i] * rng.choice((0, 1, 1)))
+    news = rng.sample(spine, n_add)
+    touching = [t for t in fixed if set(t[0]) & set(news)]
+    rng.shuffle(touching)
+    new_edges = [e for e, _ in touching[:m_add]]
+    olds = [t for t in fixed if not set(t[0]) & set(news)]
+    rng.shuffle(olds)
+    while len(new_edges) < m_add and olds:
+        new_edges.append(olds.pop()[0])
+    old_spine = [v for v in spine if v not in news]
+    if extra:
+        used = {e for e, _ in olds} | set(new_edges)
+        free = [
+            e
+            for e in (edge(u, v) for u, v in itertools.combinations(old_spine, 2))
+            if e not in used
+        ]
+        new_edges.append(rng.choice(free))
+    h_edges = [(u, v, p) for (u, v), p in olds]
+    return make_instance(ell, old_spine, h_edges, news, new_edges)

@@ -1,0 +1,41 @@
+"""Golden hashes: every named algorithm emits the same solution files.
+
+Determinism is a documented contract, so the hashes are fixed: they were
+recorded with the pairwise crossing loops that the stack-scan geometry
+kernel replaced, and any change to an emitted byte fails here.  ``auto``
+is left out because its choice of solver is meant to change.
+"""
+
+import hashlib
+
+import pytest
+
+from stackext import ALGORITHMS, InputError, emit_solution, solve
+
+from reference_impl import random_corpus
+
+GOLDEN = {
+    "oracle": "919b3e3f42cc63848ee7fce247febe9f7a3a88bd877ec01f52335624ce15bb91",
+    "edges-fpt": "3b384d17b3b155f6fa73696c09c05cf59563e9e80311c342bcd54f196435246c",
+    "one-vertex": "fca9aa6961ffb7537c8063e9833403901b733b3108228126095f97ecf76f809f",
+    "greedy-is": "a2d99204aea71410ad27b0ecb1c597b61809cca1ad79053adb8e4dbbf9409315",
+    "xp": "1d7c8b56e833e3ac661bba5bf50bebd478dc4803005855c44f6d7f1fc7f7d9e7",
+    "dp-fpt": "a0c099bf3bf2b29bcf82f2a98ea6f787c7a2343fc2d957b68309fffa7b1cd5ee",
+}
+
+
+def _digest(algo: str) -> str:
+    parts = []
+    for inst in random_corpus(150, seed=37_000, v_max=7, ell_max=3):
+        try:
+            sol = solve(inst, algo)
+        except InputError:
+            parts.append("n/a")
+            continue
+        parts.append("none" if sol is None else emit_solution(sol))
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "auto"])
+def test_solution_files_are_byte_identical(algo):
+    assert _digest(algo) == GOLDEN[algo]

@@ -1,0 +1,43 @@
+"""Oracle agreement on planted instances of 20-40 fixed vertices.
+
+The acceptance gate covers instance boxes small enough to enumerate;
+here face depths above 1, super intervals and branch pruning come into
+play.  Every third draw gets one extra new edge between old vertices,
+which turns some instances unextendable.
+"""
+
+from stackext import InputError, page_width, solve, solve_exhaustive, verify_solution
+
+from reference_impl import planted_instance
+
+
+def _corpus():
+    out = []
+    for k in range(60):
+        n_add = k % 3
+        m_add = 3 + (k // 3) % 3
+        inst = planted_instance(
+            40_000 + k, 20 + (k * 7) % 21, 2, n_add, m_add, extra=k % 3 == 2
+        )
+        out.append(inst)
+    return out
+
+
+def test_xp_greedy_and_dp_agree_with_the_oracle():
+    corpus = _corpus()
+    verdicts = []
+    for inst in corpus:
+        expected = solve_exhaustive(inst) is not None
+        verdicts.append(expected)
+        algos = ["xp", "greedy-is"] + (["dp-fpt"] if expected else [])
+        for algo in algos:
+            try:
+                sol = solve(inst, algo)
+            except InputError:
+                assert algo == "greedy-is"
+                continue
+            assert (sol is not None) == expected, (algo, inst.n_add, inst.m_add)
+            if sol is not None:
+                assert verify_solution(inst, sol) == ()
+    assert not all(verdicts) and any(verdicts)
+    assert max(page_width(inst.layout_h) for inst in corpus) >= 2

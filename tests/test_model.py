@@ -1,10 +1,13 @@
 """Core data model: layouts, crossings, faces, instances."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackext import (
     Face,
+    FaceLookup,
     Graph,
     InputError,
     Layout,
@@ -20,15 +23,9 @@ from stackext import (
     page_width,
     super_intervals,
 )
-from stackext.model import (
-    crosses,
-    face_at_distance,
-    face_chain,
-    gap_incident,
-    gap_sees_vertex,
-    sees,
-    vertex_incident,
-)
+from stackext.model import alternates
+
+from reference_impl import _clashes
 
 
 def small_instances():
@@ -94,11 +91,14 @@ def test_layout_rejects_multi_edge():
 
 
 def test_crosses_is_alternation():
-    s = SpineOrder(("a", "b", "c", "d"))
-    assert crosses(s, edge("a", "c"), edge("b", "d"))
-    assert not crosses(s, edge("a", "b"), edge("c", "d"))
+    # spans of (a, c), (b, d), (a, b), (c, d) over the spine a < b < c < d
+    assert alternates(1, 3, 2, 4)
+    assert alternates(2, 4, 1, 3)
+    assert not alternates(1, 2, 3, 4)
+    assert not alternates(1, 4, 2, 3)
     # shared endpoints never cross
-    assert not crosses(s, edge("a", "c"), edge("c", "d"))
+    assert not alternates(1, 3, 3, 4)
+    assert not alternates(1, 3, 1, 4)
 
 
 def test_layouts_stay_cheap_validity_is_separate():
@@ -178,16 +178,18 @@ def test_faces_hand_example():
 
 
 def test_face_chain_hand_example():
-    lay = _demo_layout()
-    chain = face_chain(lay, 1, 4)
+    lookup = FaceLookup(_demo_layout())
+    chain = lookup.chain(1, 4)
     assert [f.edge for f in chain] == [None, edge("a", "f"), edge("c", "e")]
     assert [f.depth for f in chain] == [0, 1, 2]
-    assert face_at_distance(lay, 1, 4, 2).edge == edge("c", "e")
-    assert face_at_distance(lay, 1, 4, 3) is None
+    assert lookup.face_at(1, 4, 2).edge == edge("c", "e")
+    assert lookup.face_at(1, 4, 3) is None
+    assert lookup.deepest(1, 4) == 2
 
 
 def test_vertex_incidence_hand_example():
     lay = _demo_layout()
+    lookup = FaceLookup(lay)
     by_edge = {f.edge: f for f in faces(lay, 1)}
     outer, big, left, right = (
         by_edge[None],
@@ -196,26 +198,27 @@ def test_vertex_incidence_hand_example():
         by_edge[edge("c", "e")],
     )
     # c joins its two bounding edges and still touches the big face
-    assert vertex_incident(lay, left, "c")
-    assert vertex_incident(lay, right, "c")
-    assert vertex_incident(lay, big, "c")
+    assert lookup.incident(left, "c")
+    assert lookup.incident(right, "c")
+    assert lookup.incident(big, "c")
     # b is sealed under (a, c)
-    assert vertex_incident(lay, left, "b")
-    assert not vertex_incident(lay, big, "b")
-    assert not vertex_incident(lay, outer, "b")
+    assert lookup.incident(left, "b")
+    assert not lookup.incident(big, "b")
+    assert not lookup.incident(outer, "b")
     # the outer face touches the extremes
-    assert vertex_incident(lay, outer, "a")
-    assert vertex_incident(lay, outer, "f")
+    assert lookup.incident(outer, "a")
+    assert lookup.incident(outer, "f")
+    assert not lookup.incident(right, "a")
 
 
 def test_gap_incidence_is_deepest_face():
     lay = _demo_layout()
+    lookup = FaceLookup(lay)
     by_edge = {f.edge: f for f in faces(lay, 1)}
-    assert gap_incident(lay, by_edge[edge("c", "e")], 4)
-    assert not gap_incident(lay, by_edge[edge("a", "f")], 4)
-    assert gap_incident(lay, by_edge[edge("a", "f")], 6)
-    assert gap_incident(lay, by_edge[None], 1)
-    assert gap_incident(lay, by_edge[None], 7)
+    assert lookup.chain(1, 4)[-1] == by_edge[edge("c", "e")]
+    assert lookup.chain(1, 6)[-1] == by_edge[edge("a", "f")]
+    assert lookup.chain(1, 1)[-1] == by_edge[None]
+    assert lookup.chain(1, 7)[-1] == by_edge[None]
 
 
 @given(small_instances())
@@ -225,27 +228,117 @@ def test_face_chains_consecutive_depths(params):
     if inst is None:
         return
     lay = inst.layout_h
+    lookup = FaceLookup(lay)
     for p in range(1, lay.ell + 1):
+        page_faces = faces(lay, p)
         for g in range(1, len(lay.spine) + 2):
-            chain = face_chain(lay, p, g)
+            chain = lookup.chain(p, g)
             assert [f.depth for f in chain] == list(range(len(chain)))
-            deepest = chain[-1]
-            assert gap_incident(lay, deepest, g)
-            for f in chain[:-1]:
-                assert not gap_incident(lay, f, g)
+            # the chain holds exactly the faces spanning the gap
+            assert set(chain) == {f for f in page_faces if f.spans(g)}
+
+
+# ---------------------------------------------------------------------------
+# the geometry kernel against plain pairwise alternation
+
+
+@st.composite
+def raw_layouts(draw, crossing_free=False):
+    """Small layouts with shared endpoints and, unless ``crossing_free``,
+    any number of crossings per page; names do not follow spine order."""
+    n = draw(st.integers(2, 8))
+    ell = draw(st.integers(1, 3))
+    spine = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    kept: dict[int, list[tuple[int, int]]] = {}
+    triples = []
+    for a, b in chosen:
+        p = draw(st.integers(1, ell))
+        if crossing_free and any(
+            c < a < d < b or a < c < b < d for c, d in kept.get(p, ())
+        ):
+            continue
+        kept.setdefault(p, []).append((a, b))
+        triples.append((spine[a - 1], spine[b - 1], p))
+    return make_layout(spine, ell, triples)
+
+
+def _rank_spans(lay):
+    return {
+        p: [
+            tuple(sorted((lay.rank_of(u), lay.rank_of(v))))
+            for u, v in lay.edges_on_page(p)
+        ]
+        for p in range(1, lay.ell + 1)
+    }
+
+
+@given(raw_layouts())
+@settings(max_examples=200, deadline=None)
+def test_is_valid_and_find_crossing_match_pairwise(lay):
+    graph = Graph(lay.spine.order, lay.edges)
+    clash = _clashes(_rank_spans(lay))
+    assert is_valid(graph, lay) == (not clash)
+    found = find_crossing(lay)
+    assert (found is not None) == clash
+    if found is not None:
+        e1, e2, p = found
+        assert e1 < e2
+        assert lay.page_of[e1] == p == lay.page_of[e2]
+        a, b = sorted((lay.rank_of(e1[0]), lay.rank_of(e1[1])))
+        c, d = sorted((lay.rank_of(e2[0]), lay.rank_of(e2[1])))
+        assert a < c < b < d or c < a < d < b
+
+
+@given(raw_layouts())
+@settings(max_examples=100, deadline=None)
+def test_faces_depths_are_containment_counts(lay):
+    for p, spans in _rank_spans(lay).items():
+        if _clashes({p: spans}):
+            with pytest.raises(InputError):
+                faces(lay, p)
+            continue
+        got = {f.edge: f.depth for f in faces(lay, p) if not f.is_outer}
+        for e, (ru, rv) in zip(lay.edges_on_page(p), spans):
+            inside = sum(
+                1 for su, sv in spans if (su, sv) != (ru, rv) and su <= ru and rv <= sv
+            )
+            assert got[e] == 1 + inside
+
+
+@given(raw_layouts(crossing_free=True))
+@settings(max_examples=150, deadline=None)
+def test_pages_fitting_matches_pairwise_alternation(lay):
+    # doubled positions: vertex of rank r at 2r, gap g at 2g - 1, so this
+    # covers vertex-vertex, gap-vertex and gap-gap spans
+    lookup = FaceLookup(lay)
+    doubled = {
+        p: [(2 * a, 2 * b) for a, b in spans]
+        for p, spans in _rank_spans(lay).items()
+    }
+    top = 2 * len(lay.spine) + 1
+    for a2, b2 in itertools.combinations_with_replacement(range(1, top + 1), 2):
+        want = frozenset(
+            p
+            for p, spans in doubled.items()
+            if not any(x < a2 < y < b2 or a2 < x < b2 < y for x, y in spans)
+        )
+        assert lookup.pages_fitting(a2, b2) == want
+        assert lookup.pages_fitting(b2, a2) == want
 
 
 @given(small_instances())
 @settings(max_examples=60, deadline=None)
 def test_sees_matches_naive_alternation(params):
+    # vertex-vertex visibility on the generated fixed layout, against the
+    # plain alternation count that skips edges sharing an endpoint
     inst = build(params)
     if inst is None or len(inst.layout_h.spine) < 2:
         return
     lay = inst.layout_h
-    order = lay.spine.order
-    import itertools
-
-    for u, v in itertools.combinations(order, 2):
+    lookup = FaceLookup(lay)
+    for u, v in itertools.combinations(lay.spine.order, 2):
         a, b = sorted((lay.rank_of(u), lay.rank_of(v)))
         for p in range(1, lay.ell + 1):
             blocked = False
@@ -255,15 +348,23 @@ def test_sees_matches_naive_alternation(params):
                 c, d = sorted((lay.rank_of(x), lay.rank_of(y)))
                 if c < a < d < b or a < c < b < d:
                     blocked = True
-            assert sees(lay, u, v, p) == (not blocked)
+            assert (p in lookup.pages_fitting(2 * a, 2 * b)) == (not blocked)
 
 
 def test_gap_next_to_vertex_always_sees_it():
     lay = _demo_layout()
+    lookup = FaceLookup(lay)
     for w in lay.spine:
-        r = lay.rank_of(w)
-        assert gap_sees_vertex(lay, r, w, 1)
-        assert gap_sees_vertex(lay, r + 1, w, 1)
+        r2 = 2 * lay.rank_of(w)
+        # gap r lies just left of the vertex of rank r, gap r + 1 just right
+        assert 1 in lookup.pages_fitting(r2 - 1, r2)
+        assert 1 in lookup.pages_fitting(r2 + 1, r2)
+
+
+def test_face_lookup_rejects_crossing_layout():
+    lay = make_layout(("a", "b", "c", "d"), 1, [("a", "c", 1), ("b", "d", 1)])
+    with pytest.raises(InputError):
+        FaceLookup(lay)
 
 
 def test_instance_views():

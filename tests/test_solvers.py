@@ -15,6 +15,8 @@ from stackext import (
     solve_exhaustive,
     solve_one_vertex,
     solve_xp,
+    solve,
+    verify_solution,
 )
 from stackext.solvers import _colex_multisets, feasible_gaps
 
@@ -172,3 +174,15 @@ def test_xp_handles_old_old_new_edges():
         [("b", "d"), ("x", "b")],
     )
     assert solve_xp(blocked) is None
+
+
+@pytest.mark.parametrize("algo", ["auto", "xp"])
+def test_long_nested_core_solves_without_recursion(algo):
+    # 1200 nested new edges on one page: none can be set aside as safe,
+    # so the whole core is searched, deeper than the recursion limit
+    spine = [f"v{i:04d}" for i in range(1, 2601)]
+    nested = [(spine[i], spine[-1 - i]) for i in range(1200)]
+    inst = make_instance(1, spine, [], [], nested)
+    sol = solve(inst, algo)
+    assert sol is not None
+    assert verify_solution(inst, sol) == ()
