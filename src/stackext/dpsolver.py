@@ -18,8 +18,7 @@ what the per-gap face structure encodes.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -29,13 +28,12 @@ from .model import (
     Instance,
     InputError,
     Layout,
-    SpineOrder,
     Vertex,
+    _stack_scan,
     alternates,
     super_intervals,
 )
-from .oracle import assemble_spine
-from .solvers import SolveStats
+from .solvers import SolveStats, _assemble_layout, _endpoint_keys
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
         raise InputError("branch must assign a super interval to each new vertex")
     if any(not 0 <= s < count for s in branch.supers.values()):
         raise InputError("branch super interval index out of range")
-    if set(branch.depths) != set(_deep_edges(inst)):
+    if set(branch.depths) != set(branch.pages) - set(inst.new_old_edges):
         raise InputError(
             "branch must assign a depth to exactly the new edges with a new endpoint"
         )
@@ -88,11 +86,12 @@ def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
 
 def _old_crossing(inst: Instance, pages: Mapping[Edge, int]) -> bool:
     # new edges between old vertices, against the fixed edges and each other
-    layout = inst.layout_h
     placed: dict[int, list[tuple[int, int]]] = {}
-    for e in inst.new_old_edges:
+    for e, ((a_new, a), (b_new, b)) in zip(inst.new_edges, inst.endpoints):
+        if a_new or b_new:
+            continue
         p = pages[e]
-        a, b = sorted((2 * layout.rank_of(e[0]), 2 * layout.rank_of(e[1])))
+        a, b = sorted((a, b))
         if p not in inst.lookup.pages_fitting(a, b) or any(
             alternates(x, y, a, b) for x, y in placed.get(p, ())
         ):
@@ -101,39 +100,24 @@ def _old_crossing(inst: Instance, pages: Mapping[Edge, int]) -> bool:
     return False
 
 
-def _implied_crossing(inst: Instance, branch: BranchAssignment) -> bool:
-    """Crossing forced among new edges by the branch alone.
+def _implied_crossing(
+    inst: Instance, pages: Mapping[Edge, int], order, supers
+) -> bool:
+    """Crossing forced among new edges by pages, order and super intervals.
 
-    Old endpoints of new edges sit at super interval boundaries, so the
-    spine order of all such endpoints is already fixed by the branch;
-    positions are compared through surrogate keys that realise it.
+    ``supers[t]`` is the super interval of ``order[t]``, non-decreasing
+    along the order.  Old endpoints of new edges sit at super interval
+    boundaries, so putting every new vertex in the first gap of its
+    super interval, in the given order, realises the spine order of all
+    endpoints of new edges.  Callers rule out crossings among new edges
+    between old vertices first.
     """
-    layout = inst.layout_h
     sups = super_intervals(inst)
-    oidx = {v: t for t, v in enumerate(branch.order)}
-    old = inst.h.vertex_set
-
-    def key(w: Vertex) -> tuple[int, int]:
-        if w in old:
-            return (2 * layout.rank_of(w), 0)
-        s = sups[branch.supers[w]]
-        return (2 * s.gap_lo - 1, oidx[w] + 1)
-
-    eh = set(inst.new_old_edges)
-    ranked = []
-    for e in inst.new_edges:
-        k1, k2 = key(e[0]), key(e[1])
-        ranked.append((e, min(k1, k2), max(k1, k2)))
-    for (e1, a1, b1), (e2, a2, b2) in itertools.combinations(ranked, 2):
-        if e1 in eh and e2 in eh:
-            continue
-        if branch.pages[e1] != branch.pages[e2]:
-            continue
-        if set(e1) & set(e2):
-            continue
-        if alternates(a1, b1, a2, b2):
-            return True
-    return False
+    keys = _endpoint_keys(inst, [sups[s].gap_lo for s in supers], order)
+    by_page: dict[int, list[tuple[int, int]]] = {}
+    for e, span in zip(inst.new_edges, keys):
+        by_page.setdefault(pages[e], []).append(span)
+    return any(_stack_scan(spans)[0] is not None for spans in by_page.values())
 
 
 def check_branch(inst: Instance, branch: BranchAssignment) -> Optional[str]:
@@ -150,7 +134,7 @@ def check_branch(inst: Instance, branch: BranchAssignment) -> Optional[str]:
         return "order-super-conflict"
     if _old_crossing(inst, branch.pages):
         return "old-crossing"
-    if _implied_crossing(inst, branch):
+    if _implied_crossing(inst, branch.pages, branch.order, sup_seq):
         return "implied-crossing"
     return None
 
@@ -167,8 +151,6 @@ class DpTable:
     gaps: int
     placed: int
     reach: list  # [i][j][r], i from 1
-    _place_ok: list = field(repr=False, default=None)
-    _shift_ok: list = field(repr=False, default=None)
 
     def value(self, i: int, j: int, r: int) -> int:
         return 1 if self.reach[i][j][r] else 0
@@ -198,14 +180,13 @@ def _sweep_tables(
     old = inst.h.vertex_set
     n = inst.n_add
     gaps = inst.gap_count
-    deep = _deep_edges(inst)
     oidx = {v: t + 1 for t, v in enumerate(branch.order)}
 
     anchored: dict[Vertex, list[tuple[int, int, Vertex]]] = {v: [] for v in branch.order}
     linking: dict[Vertex, list[tuple[int, int]]] = {v: [] for v in branch.order}
     half: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e in deep:
-        p, d = branch.pages[e], branch.depths[e]
+    for e, d in branch.depths.items():
+        p = branch.pages[e]
         u, v = e
         if u in old:
             anchored[v].append((p, d, u))
@@ -267,7 +248,7 @@ def dp_table(
                 reach[i][j][0] = True
             if j > 0 and place_ok[i][j] and (reach[i][j - 1][0] or reach[i][j - 1][1]):
                 reach[i][j][1] = True
-    return DpTable(gaps, n, reach, place_ok, shift_ok)
+    return DpTable(gaps, n, reach)
 
 
 def dp_solve_branch(
@@ -294,15 +275,11 @@ def dp_solve_branch(
             i -= 1
         r = 0 if reach[i][j][0] else 1
     placements.reverse()
-    layout = inst.layout_h
-    spine = assemble_spine(layout.spine.order, placements)
-    full = dict(layout.page_of)
-    full.update(branch.pages)
-    return Layout(SpineOrder(spine), inst.ell, full)
+    return _assemble_layout(inst, placements, branch.pages)
 
 
 def _depth_domains(
-    inst: Instance, branch_pages: Mapping[Edge, int], supmap: Mapping[Vertex, int],
+    inst: Instance, pages: Mapping[Edge, int], supmap: Mapping[Vertex, int],
     lookup: FaceLookup,
 ) -> list[list[int]]:
     """Depths worth trying per new edge with a new endpoint.
@@ -313,53 +290,43 @@ def _depth_domains(
     follow the canonical edge order.
     """
     sups = super_intervals(inst)
-    old = inst.h.vertex_set
     domains = []
-    for e in _deep_edges(inst):
-        p = branch_pages[e]
+    for e, ends in zip(inst.new_edges, inst.endpoints):
         dom: Optional[set[int]] = None
-        for w in e:
-            if w in old:
-                continue
-            s = sups[supmap[w]]
-            ds = {lookup.deepest(p, g) for g in range(s.gap_lo, s.gap_hi + 1)}
-            dom = ds if dom is None else dom & ds
-        domains.append(sorted(dom))
+        for new, w in ends:
+            if new:
+                s = sups[supmap[w]]
+                gaps = range(s.gap_lo, s.gap_hi + 1)
+                ds = {lookup.deepest(pages[e], g) for g in gaps}
+                dom = ds if dom is None else dom & ds
+        if dom is not None:
+            domains.append(sorted(dom))
     return domains
 
 
-def _branch_loop(inst: Instance, stats: Optional[SolveStats]):
+def _branch_loop(inst: Instance, stats: SolveStats):
     """Shared outer enumeration: pages, then order, then super intervals.
 
     Yields ``(pages, order, sup_tuple)`` for combos passing the branch
-    consistency checks; rejected combos are only counted.  A page
-    assignment failing on the old-old new edges rejects all its order
-    and super combos at once.
+    consistency checks.  Super intervals are enumerated non-decreasing
+    along the order, so no order-super conflict is ever generated.
+    ``stats.branches`` counts each rejection once: a page assignment
+    failing on the new edges between old vertices counts 1 for all its
+    order and super combos, an implied crossing 1 per combo.
     """
-    sups = super_intervals(inst)
+    count = len(super_intervals(inst))
     news = inst.new_vertices
-    n = len(news)
-    block = math.factorial(n) * (len(sups) ** n)
-    for pages_tuple in itertools.product(
-        range(1, inst.ell + 1), repeat=len(inst.new_edges)
-    ):
+    for pages_tuple in itertools.product(range(1, inst.ell + 1), repeat=inst.m_add):
         pages = dict(zip(inst.new_edges, pages_tuple))
         if _old_crossing(inst, pages):
-            if stats is not None:
-                stats.branches += block
+            stats.branches += 1
             continue
         for order in itertools.permutations(news):
-            for sup_tuple in itertools.product(range(len(sups)), repeat=n):
-                if any(s > t for s, t in zip(sup_tuple, sup_tuple[1:])):
-                    if stats is not None:
-                        stats.branches += 1
-                    continue
-                branch = BranchAssignment(
-                    pages, order, dict(zip(order, sup_tuple)), {}
-                )
-                if _implied_crossing(inst, branch):
-                    if stats is not None:
-                        stats.branches += 1
+            for sup_tuple in itertools.combinations_with_replacement(
+                range(count), len(news)
+            ):
+                if _implied_crossing(inst, pages, order, sup_tuple):
+                    stats.branches += 1
                     continue
                 yield pages, order, sup_tuple
 
@@ -368,25 +335,27 @@ def solve_fpt(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[La
     """Exact solver parameterised by the number of new vertices and edges.
 
     Branches over pages (lexicographic over the canonical new edge
-    order), new vertex orders (lexicographic), super intervals per
-    vertex (lexicographic along the order) and depths per edge
+    order), new vertex orders (lexicographic), non-decreasing super
+    intervals along the order (lexicographic) and depths per edge
     (lexicographic over pruned domains); each surviving branch runs the
-    gap sweep.  ``stats.branches`` counts rejected combos once and every
-    depth combo reaching the sweep.
+    gap sweep.  ``stats.branches`` counts the rejections of
+    ``_branch_loop``, every depth combo reaching the sweep, and 1 for a
+    combo whose depth domains leave no depth combo.
     """
-    if stats is not None:
-        stats.algorithm = "dp-fpt"
+    stats = stats or SolveStats()
+    stats.algorithm = "dp-fpt"
     lookup = inst.lookup
     deep = _deep_edges(inst)
+    cells = 2 * inst.gap_count * (inst.n_add + 1)
     for pages, order, sup_tuple in _branch_loop(inst, stats):
         supmap = dict(zip(order, sup_tuple))
         domains = _depth_domains(inst, pages, supmap, lookup)
-        seen_depths = False
+        if not all(domains):
+            stats.branches += 1
+            continue
         for depth_tuple in itertools.product(*domains):
-            seen_depths = True
-            if stats is not None:
-                stats.branches += 1
-                stats.cells += 2 * inst.gap_count * (inst.n_add + 1)
+            stats.branches += 1
+            stats.cells += cells
             branch = BranchAssignment(
                 pages, order, supmap, dict(zip(deep, depth_tuple))
             )
@@ -395,8 +364,6 @@ def solve_fpt(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[La
                 if not inst.is_solution(sol):
                     raise RuntimeError("sweep produced an invalid layout")
                 return sol
-        if not seen_depths and stats is not None:
-            stats.branches += 1
     return None
 
 
@@ -433,33 +400,32 @@ def solve_greedy_is(
     after the current position, from which all its old neighbours are
     visible on the branch pages.  Visibility is a per-gap, per-vertex
     property here, so first-fit never discards a realisable branch.
+    ``stats.branches`` counts the rejections of ``_branch_loop`` and
+    every combo the first-fit runs on.
     """
-    if stats is not None:
-        stats.algorithm = "greedy-is"
-    old = inst.h.vertex_set
-    if any(u not in old and v not in old for u, v in inst.new_edges):
+    stats = stats or SolveStats()
+    stats.algorithm = "greedy-is"
+    if any(u_new and v_new for (u_new, _), (v_new, _) in inst.endpoints):
         raise InputError("first-fit solver needs pairwise non-adjacent new vertices")
-    layout = inst.layout_h
     sups = super_intervals(inst)
     fits = inst.lookup.pages_fitting
+    # per new vertex: its edges and the doubled positions of their old ends
+    anchors: dict[Vertex, list[tuple[Edge, int]]] = {v: [] for v in inst.new_vertices}
+    for e, ((u_new, u), (v_new, v)) in zip(inst.new_edges, inst.endpoints):
+        if u_new or v_new:
+            w, r2 = (u, v) if u_new else (v, u)
+            anchors[w].append((e, r2))
 
     for pages, order, sup_tuple in _branch_loop(inst, stats):
-        if stats is not None:
-            stats.branches += 1
-        anchored: dict[Vertex, list[tuple[int, int]]] = {v: [] for v in order}
-        for e in _deep_edges(inst):
-            u, v = e
-            if u in old:
-                anchored[v].append((pages[e], 2 * layout.rank_of(u)))
-            else:
-                anchored[u].append((pages[e], 2 * layout.rank_of(v)))
+        stats.branches += 1
         ptr = 1
         placements: list[tuple[int, Vertex]] = []
-        for t, v in enumerate(order):
-            s = sups[sup_tuple[t]]
+        for v, si in zip(order, sup_tuple):
+            s = sups[si]
+            want = [(pages[e], r2) for e, r2 in anchors[v]]
             ptr = max(ptr, s.gap_lo)
             while ptr <= s.gap_hi and not all(
-                p in fits(2 * ptr - 1, u2) for p, u2 in anchored[v]
+                p in fits(2 * ptr - 1, r2) for p, r2 in want
             ):
                 ptr += 1
             if ptr > s.gap_hi:
@@ -467,10 +433,7 @@ def solve_greedy_is(
             placements.append((ptr, v))
         if len(placements) != len(order):
             continue
-        spine = assemble_spine(layout.spine.order, placements)
-        full = dict(layout.page_of)
-        full.update(pages)
-        sol = Layout(SpineOrder(spine), inst.ell, full)
+        sol = _assemble_layout(inst, placements, pages)
         if not inst.is_solution(sol):
             raise RuntimeError("first-fit produced an invalid layout")
         return sol

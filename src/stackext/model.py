@@ -526,6 +526,33 @@ class Instance:
         """Index of the fixed layout, built on first use."""
         return FaceLookup(self.layout_h)
 
+    @cached_property
+    def super_intervals(self) -> tuple[SuperInterval, ...]:
+        """The instance's super intervals (see :func:`super_intervals`),
+        built on first use."""
+        n = len(self.layout_h.spine)
+        out = []
+        left: Optional[Vertex] = None
+        lo = 1
+        for i, w in enumerate(self.incident_old):
+            r = self.layout_h.rank_of(w)
+            out.append(SuperInterval(i, left, w, lo, r))
+            left, lo = w, r + 1
+        out.append(SuperInterval(len(self.incident_old), left, None, lo, n + 1))
+        return tuple(out)
+
+    @cached_property
+    def endpoints(self) -> tuple[tuple[tuple[bool, object], ...], ...]:
+        """Both endpoints of every new edge, in ``new_edges`` order, built
+        on first use.  Each endpoint is ``(is_new, where)``: an old vertex
+        by its doubled spine position, a new vertex by itself."""
+        old = self.h.vertex_set
+        rank = self.layout_h.rank_of
+        return tuple(
+            tuple((False, 2 * rank(w)) if w in old else (True, w) for w in e)
+            for e in self.new_edges
+        )
+
     def is_solution(self, layout: Layout) -> bool:
         return is_valid(self.g, layout) and extends(layout, self.layout_h)
 
@@ -581,16 +608,6 @@ def super_intervals(inst: Instance) -> tuple[SuperInterval, ...]:
     fixed edges can change, because a fixed edge may end between two
     gaps of one super interval; the face sweep reconciles those.  There are
     ``len(inst.incident_old) + 1`` super intervals, hence at most
-    ``2 * m_add + 1``.
+    ``2 * m_add + 1``.  Cached on the instance.
     """
-    n = len(inst.layout_h.spine)
-    marks = inst.incident_old
-    out = []
-    left: Optional[Vertex] = None
-    lo = 1
-    for i, w in enumerate(marks):
-        r = inst.layout_h.rank_of(w)
-        out.append(SuperInterval(i, left, w, lo, r))
-        left, lo = w, r + 1
-    out.append(SuperInterval(len(marks), left, None, lo, n + 1))
-    return tuple(out)
+    return inst.super_intervals

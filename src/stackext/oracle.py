@@ -12,7 +12,7 @@ import itertools
 import os
 from typing import Iterator, Optional
 
-from .model import InputError, Instance, Layout, SpineOrder, Vertex, make_layout
+from .model import InputError, Instance, Layout, SpineOrder, Vertex
 
 DEFAULT_CAP = 10**8
 CAP_ENV = "STACKEXT_ORACLE_CAP"
@@ -121,8 +121,10 @@ def enumerate_solutions(
             a, b = rank[u], rank[v]
             pairs.append((a, b) if a < b else (b, a))
 
-        # depth-first over new edges, pages ascending, fail-fast
-        chosen: list[int] = []
+        # depth-first over new edges, pages ascending, fail-fast, with an
+        # explicit stack so that long lists of new edges cannot exhaust
+        # recursion
+        chosen: list[int] = []  # pages of the first len(chosen) new edges
         added: dict[int, list[tuple[int, int]]] = {
             p: [] for p in range(1, inst.ell + 1)
         }
@@ -137,22 +139,26 @@ def enumerate_solutions(
                     return False
             return True
 
-        def assign(t: int) -> Iterator[Layout]:
+        page = 1  # next page to try for new edge len(chosen)
+        while True:
+            t = len(chosen)
+            if t < len(new_edges) and page <= inst.ell:
+                if fits(pairs[t], page):
+                    chosen.append(page)
+                    added[page].append(pairs[t])
+                    page = 1
+                else:
+                    page += 1
+                continue
             if t == len(new_edges):
                 pages = dict(base_assign)
                 pages.update(zip(new_edges, chosen))
                 yield Layout(SpineOrder(spine), inst.ell, pages)
-                return
-            pair = pairs[t]
-            for p in range(1, inst.ell + 1):
-                if fits(pair, p):
-                    chosen.append(p)
-                    added[p].append(pair)
-                    yield from assign(t + 1)
-                    added[p].pop()
-                    chosen.pop()
-
-        yield from assign(0)
+            if not chosen:
+                break
+            page = chosen.pop()
+            added[page].pop()
+            page += 1
 
 
 def solve_exhaustive(inst: Instance, cap: Optional[int] = None) -> Optional[Layout]:

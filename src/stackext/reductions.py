@@ -35,6 +35,7 @@ from .model import (
     make_instance,
 )
 from .oracle import enumerate_solutions
+from .serialize import load_json
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +592,7 @@ def parse_clique_input(text: str) -> tuple[CliqueInstance, tuple[tuple[str, ...]
     is its position among same-colored vertices, in file order.  Returns
     the instance together with the per-part name table.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise InputError("clique input must be an object")
     verts = doc.get("vertices")

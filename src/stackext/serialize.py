@@ -44,6 +44,15 @@ def canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def load_json(text: str) -> Any:
+    """Decode JSON text; malformed or too deeply nested text (and numbers
+    too long to convert) raise :class:`InputError`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"not valid JSON: {exc}") from None
+
+
 def _need(doc: Any, key: str, kind: type, where: str) -> Any:
     if not isinstance(doc, dict):
         raise InputError(f"{where} must be an object")
@@ -117,11 +126,7 @@ def emit_instance(inst: Instance) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}") from None
-    return instance_from_doc(doc)
+    return instance_from_doc(load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +168,7 @@ def emit_solution(layout: Layout) -> str:
 
 
 def parse_solution(text: str) -> RawSolution:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}") from None
-    return solution_from_doc(doc)
+    return solution_from_doc(load_json(text))
 
 
 def as_layout(sol: RawSolution, ell: int) -> Layout:

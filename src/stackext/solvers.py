@@ -7,7 +7,8 @@
 * ``solve_one_vertex``: one new vertex, every new edge attached to it.
   A left-to-right first-fit over the gaps is exact here.
 * ``solve_xp``: fully general.  Enumerates all spine extensions and
-  settles the page assignment of each like ``solve_edges_only``.
+  settles the page assignment of each like ``solve_edges_only``, which
+  is its case without new vertices.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ class SolveStats:
     branches: int = 0
     cells: int = 0
     algorithm: str = ""
+
+
+def _assemble_layout(inst: Instance, placements, pages) -> Layout:
+    """The fixed layout with new vertices inserted at ``(gap, vertex)``
+    placements and new edges added on the given pages."""
+    layout = inst.layout_h
+    spine = assemble_spine(layout.spine.order, placements)
+    full = dict(layout.page_of)
+    full.update(pages)
+    return Layout(SpineOrder(spine), inst.ell, full)
 
 
 def candidate_pages(inst: Instance, e: Edge) -> frozenset[int]:
@@ -143,24 +154,12 @@ def solve_edges_only(inst: Instance) -> Optional[Layout]:
     candidate pages (pages ascending, edges in canonical order), then
     re-adds the removed edges in reverse removal order, each on the
     smallest candidate page no other new edge uses.  Such a page always
-    exists by the removal rule.
+    exists by the removal rule.  This is ``solve_xp`` on its single
+    spine candidate.
     """
     if inst.n_add != 0:
         raise InputError("edges-only solver needs an instance without new vertices")
-    layout = inst.layout_h
-    new_pairs = [
-        tuple(sorted((2 * layout.rank_of(u), 2 * layout.rank_of(v))))
-        for u, v in inst.new_edges
-    ]
-    fits = [inst.lookup.pages_fitting(a, b) for a, b in new_pairs]
-    if not all(fits):
-        return None
-    chosen = _assign_with_fits(new_pairs, fits, inst.ell)
-    if chosen is None:
-        return None
-    full = dict(layout.page_of)
-    full.update(zip(inst.new_edges, chosen))
-    return Layout(layout.spine, inst.ell, full)
+    return solve_xp(inst)
 
 
 def solve_one_vertex(inst: Instance) -> Optional[Layout]:
@@ -177,20 +176,13 @@ def solve_one_vertex(inst: Instance) -> Optional[Layout]:
             "between old vertices"
         )
     (v,) = inst.new_vertices
-    layout = inst.layout_h
+    fits = inst.lookup.pages_fitting
+    old_ends = [r2 for ends in inst.endpoints for new, r2 in ends if not new]
     for g in range(1, inst.gap_count + 1):
-        pages = {}
-        for e in inst.new_edges:
-            u = e[0] if e[1] == v else e[1]
-            fit = inst.lookup.pages_fitting(2 * g - 1, 2 * layout.rank_of(u))
-            if not fit:
-                break
-            pages[e] = min(fit)
-        else:
-            spine = assemble_spine(layout.spine.order, [(g, v)])
-            full = dict(layout.page_of)
-            full.update(pages)
-            return Layout(SpineOrder(spine), inst.ell, full)
+        options = [fits(2 * g - 1, r2) for r2 in old_ends]
+        if all(options):
+            pages = zip(inst.new_edges, map(min, options))
+            return _assemble_layout(inst, [(g, v)], pages)
     return None
 
 
@@ -209,31 +201,38 @@ def feasible_gaps(inst: Instance) -> dict[Vertex, frozenset[int]]:
     some page.  A placement outside this set puts some of the vertex's
     edges across a fixed edge on every page, so spine candidates
     violating it can be skipped without losing solutions."""
-    layout = inst.layout_h
-    old = inst.h.vertex_set
-    nbrs: dict[Vertex, set[Vertex]] = {v: set() for v in inst.new_vertices}
-    for u, v in inst.new_edges:
-        if u in nbrs and v in old:
-            nbrs[u].add(v)
-        if v in nbrs and u in old:
-            nbrs[v].add(u)
-    all_gaps = frozenset(range(1, inst.gap_count + 1))
-
-    def visible_from(u: Vertex) -> frozenset[int]:
-        r2 = 2 * layout.rank_of(u)
-        fits = inst.lookup.pages_fitting
-        return frozenset(g for g in all_gaps if fits(2 * g - 1, r2))
-
-    seen: dict[Vertex, frozenset[int]] = {}
-    out = {}
-    for v, us in nbrs.items():
-        gaps = all_gaps
-        for u in us:
-            if u not in seen:
-                seen[u] = visible_from(u)
-            gaps = gaps & seen[u]
-        out[v] = gaps
+    fits = inst.lookup.pages_fitting
+    gaps = range(1, inst.gap_count + 1)
+    out = {v: frozenset(gaps) for v in inst.new_vertices}
+    seen: dict[int, frozenset[int]] = {}  # gaps seeing an old doubled position
+    for (u_new, u), (v_new, v) in inst.endpoints:
+        if u_new != v_new:
+            w, r2 = (u, v) if u_new else (v, u)
+            if r2 not in seen:
+                seen[r2] = frozenset(g for g in gaps if fits(2 * g - 1, r2))
+            out[w] &= seen[r2]
     return out
+
+
+def _endpoint_keys(inst: Instance, gaps, order) -> list[tuple[int, int]]:
+    """Per new edge, its two endpoints as ascending integer keys.
+
+    The ``t``-th vertex of ``order`` (from 1), placed in gap
+    ``gaps[t - 1]``, gets ``(2 * gap - 1) * (n_add + 1) + t``; an old
+    vertex at doubled position ``r2`` gets ``r2 * (n_add + 1)``.  Keys
+    order all endpoints as the spine does, vertices sharing a gap in the
+    order of ``order``; equal keys mean a shared endpoint, and a key
+    divided by ``n_add + 1``, rounded down, is its doubled position.
+    """
+    scale = inst.n_add + 1
+    key = {
+        v: (2 * g - 1) * scale + t
+        for t, (g, v) in enumerate(zip(gaps, order), start=1)
+    }
+    return [
+        tuple(sorted(key[w] if new else w * scale for new, w in ends))
+        for ends in inst.endpoints
+    ]
 
 
 def solve_xp(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Layout]:
@@ -241,72 +240,30 @@ def solve_xp(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Lay
 
     Enumerates gap multisets in colexicographic order and new-vertex
     orders lexicographically; every spine candidate turns the instance
-    into one without new vertices, settled like ``solve_edges_only``.
-    ``stats.branches`` counts the (multiset, order) pairs considered,
-    at most ``(n_H + 1) * ... * (n_H + n_add)`` in total.
+    into one without new vertices, whose page assignment is settled as
+    ``solve_edges_only`` describes.  Without new vertices there is one
+    candidate, the fixed spine.  ``stats.branches`` counts the
+    (multiset, order) pairs considered, at most
+    ``(n_H + 1) * ... * (n_H + n_add)`` in total, and 1 without new
+    vertices.
     """
-    if stats is not None:
-        stats.algorithm = "xp"
+    stats = stats or SolveStats()
+    stats.algorithm = "xp"
     news = inst.new_vertices
-    if not news:
-        if stats is not None:
-            stats.branches += 1
-        return solve_edges_only(inst)
-    layout = inst.layout_h
-    ell = inst.ell
-    old = inst.h.vertex_set
+    scale = len(news) + 1
     ok_gaps = feasible_gaps(inst)
-    base_assign = dict(layout.page_of)
-    # Doubled coordinates: a new vertex dropped into gap g sits at 2g - 1
-    # wherever the other insertions land, so page options per new edge
-    # depend only on its endpoint positions and are memoised by the index.
     pages_fitting = inst.lookup.pages_fitting
-
-    templates = []
-    for u, v in inst.new_edges:
-        if u in old and v in old:
-            a, b = sorted((layout.rank_of(u), layout.rank_of(v)))
-            templates.append(("oo", a, b))
-        elif u in old:
-            templates.append(("ao", layout.rank_of(u), v))
-        elif v in old:
-            templates.append(("ao", layout.rank_of(v), u))
-        else:
-            templates.append(("nn", u, v))
-
     for slots in _colex_multisets(inst.gap_count, len(news)):
         for perm in itertools.permutations(news):
-            if stats is not None:
-                stats.branches += 1
+            stats.branches += 1
             if any(g not in ok_gaps[v] for g, v in zip(slots, perm)):
                 continue
-            gap_of = dict(zip(perm, slots))
-            tie_of = {v: t for t, v in enumerate(perm, start=1)}
-            fits = []
-            pairs = []
-            for kind, lhs, rhs in templates:
-                if kind == "oo":
-                    f = pages_fitting(2 * lhs, 2 * rhs)
-                    a, b = (2 * lhs, 0), (2 * rhs, 0)
-                elif kind == "ao":
-                    g = gap_of[rhs]
-                    f = pages_fitting(2 * lhs, 2 * g - 1)
-                    a, b = (2 * lhs, 0), (2 * g - 1, tie_of[rhs])
-                else:
-                    f = pages_fitting(2 * gap_of[lhs] - 1, 2 * gap_of[rhs] - 1)
-                    a = (2 * gap_of[lhs] - 1, tie_of[lhs])
-                    b = (2 * gap_of[rhs] - 1, tie_of[rhs])
-                if not f:
-                    fits = None
-                    break
-                fits.append(f)
-                pairs.append((a, b) if a < b else (b, a))
-            if fits is None:
+            pairs = _endpoint_keys(inst, slots, perm)
+            fits = [pages_fitting(a // scale, b // scale) for a, b in pairs]
+            if not all(fits):
                 continue
-            chosen = _assign_with_fits(pairs, fits, ell)
+            chosen = _assign_with_fits(pairs, fits, inst.ell)
             if chosen is not None:
-                spine = assemble_spine(layout.spine.order, zip(slots, perm))
-                full = dict(base_assign)
-                full.update(zip(inst.new_edges, chosen))
-                return Layout(SpineOrder(spine), inst.ell, full)
+                pages = zip(inst.new_edges, chosen)
+                return _assemble_layout(inst, zip(slots, perm), pages)
     return None

@@ -212,6 +212,37 @@ def enumerate_branches(inst: Instance):
                     )
 
 
+def reference_implied_crossing(inst: Instance, branch) -> bool:
+    """Do two same-page new edges alternate once every new vertex sits in
+    the first gap of its super interval, in branch order?
+
+    Pairwise, with plain comparisons: an old vertex of rank ``r`` is at
+    ``(2r, 0)``, the ``t``-th vertex of the order (from 1) at
+    ``(2 * gap_lo - 1, t)``.  Pairs of new edges between old vertices
+    and pairs sharing an endpoint are skipped.
+    """
+    from stackext import super_intervals
+
+    sups = super_intervals(inst)
+    lay = inst.layout_h
+    old = inst.h.vertex_set
+
+    def key(w):
+        if w in old:
+            return (2 * lay.rank_of(w), 0)
+        return (2 * sups[branch.supers[w]].gap_lo - 1, branch.order.index(w) + 1)
+
+    spans = [(e, sorted((key(e[0]), key(e[1])))) for e in inst.new_edges]
+    for (e1, (a, b)), (e2, (c, d)) in itertools.combinations(spans, 2):
+        if e1 in inst.new_old_edges and e2 in inst.new_old_edges:
+            continue
+        if branch.pages[e1] != branch.pages[e2] or set(e1) & set(e2):
+            continue
+        if a < c < b < d or c < a < d < b:
+            return True
+    return False
+
+
 def covering_depth(inst: Instance, pos2, e, p) -> int:
     # closed covering count of the edge's doubled span among the fixed
     # page-p edges; this is the nesting depth the edge runs at

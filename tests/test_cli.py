@@ -126,6 +126,23 @@ def test_solve_missing_file(runner, tmp_path):
     assert got.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "reduce mcc"])
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    _, path = _solvable(tmp_path)
+    args = {
+        "solve": ["solve", str(deep)],
+        "verify": ["verify", path, str(deep)],
+        "reduce mcc": ["reduce", "mcc", str(deep)],
+    }[command]
+    got = runner.invoke(main, args)
+    assert got.exit_code == 2
+    assert got.exception is None or isinstance(got.exception, SystemExit)
+    assert len(got.output.strip().splitlines()) == 1
+    assert got.output.startswith("error: not valid JSON")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

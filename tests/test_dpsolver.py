@@ -28,6 +28,7 @@ from reference_impl import (
     enumerate_branches,
     random_corpus,
     reference_extendable,
+    reference_implied_crossing,
     small_dp_corpus,
 )
 
@@ -134,6 +135,28 @@ def test_implied_crossing_detected():
                     found = b
                     break
     assert found is not None
+
+
+def test_implied_crossing_matches_pairwise_reference():
+    # every branch past the order and old-crossing checks; depths do not
+    # take part in the check, so all are 0
+    checked = crossing = 0
+    for inst in random_corpus(300, seed=44_000, v_max=7, ell_max=2):
+        count = len(super_intervals(inst))
+        depths = {e: 0 for e in _deep_edges(inst)}
+        for pages in itertools.product(range(1, inst.ell + 1), repeat=inst.m_add):
+            pmap = dict(zip(inst.new_edges, pages))
+            for order in itertools.permutations(inst.new_vertices):
+                for sup in itertools.product(range(count), repeat=inst.n_add):
+                    branch = BranchAssignment(pmap, order, dict(zip(order, sup)), depths)
+                    got = check_branch(inst, branch)
+                    if got in ("order-super-conflict", "old-crossing"):
+                        continue
+                    checked += 1
+                    want = reference_implied_crossing(inst, branch)
+                    crossing += want
+                    assert (got == "implied-crossing") == want, (inst, branch)
+    assert checked >= 10_000 and crossing >= 2_000
 
 
 def test_dp_branch_verdicts_match_brute_force():

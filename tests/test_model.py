@@ -1,10 +1,13 @@
 """Core data model: layouts, crossings, faces, instances."""
 
 import itertools
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stackext
 from stackext import (
     Face,
     FaceLookup,
@@ -99,6 +102,20 @@ def test_crosses_is_alternation():
     # shared endpoints never cross
     assert not alternates(1, 3, 3, 4)
     assert not alternates(1, 3, 1, 4)
+
+
+def test_alternation_test_is_spelled_once():
+    # the kernel's ``alternates`` is the only copy in the package; the
+    # oracle and the solution checker keep their own on purpose, as
+    # independent checkers
+    pattern = re.compile(r"\w+ < \w+ < \w+ < \w+ or ")
+    found = {
+        path.name: len(pattern.findall(path.read_text(encoding="utf-8")))
+        for path in pathlib.Path(stackext.__file__).parent.glob("*.py")
+    }
+    assert found["model.py"] == 1
+    others = {name for name, n in found.items() if n and name != "model.py"}
+    assert others <= {"oracle.py", "serialize.py"}
 
 
 def test_layouts_stay_cheap_validity_is_separate():

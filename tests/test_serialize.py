@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stackext import (
     InputError,
@@ -91,6 +92,57 @@ def test_parse_instance_rejects_bad_documents():
         breakage(doc)
         with pytest.raises(InputError):
             instance_from_doc(doc)
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "x", "y", ""])
+_KEYS = st.sampled_from(
+    ["ell", "H", "spine", "edges", "u", "v", "page", "new_vertices", "new_edges"]
+)
+# page counts stay at most 8: memory that grows with ``ell`` is a
+# separate matter
+_SMALL = st.integers(-1, 8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.floats() | _NAMES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_KEYS | _NAMES, kids, max_size=5),
+    max_leaves=20,
+)
+_EDGE = st.fixed_dictionaries({"u": _NAMES, "v": _NAMES}, optional={"page": _SMALL})
+_DOC = st.fixed_dictionaries(
+    {
+        "ell": _SMALL,
+        "H": st.fixed_dictionaries(
+            {
+                "spine": st.lists(_NAMES, max_size=5, unique=True),
+                "edges": st.lists(_EDGE, max_size=4),
+            }
+        ),
+        "new_vertices": st.lists(_NAMES, max_size=3, unique=True),
+        "new_edges": st.lists(_EDGE, max_size=4),
+    }
+)
+_TEXT = st.one_of(
+    st.text(max_size=40),
+    _JSON.map(json.dumps),
+    _DOC.map(json.dumps),
+    st.tuples(_DOC, _KEYS, _JSON).map(lambda t: json.dumps({**t[0], t[1]: t[2]})),
+    st.tuples(st.sampled_from(["[", '{"H": ', "[{}, "]), st.integers(0, 5_000)).map(
+        lambda t: t[0] * t[1]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT)
+@example("[" * 200_000)
+@example('{"ell": ' * 100_000)
+@example('{"ell": ' + "9" * 5000 + "}")
+def test_parse_instance_parses_or_raises_input_error(text):
+    try:
+        inst = parse_instance(text)
+    except InputError:
+        return
+    assert parse_instance(emit_instance(inst)) == inst
 
 
 def test_parse_solution_shape():

@@ -176,7 +176,7 @@ def test_xp_handles_old_old_new_edges():
     assert solve_xp(blocked) is None
 
 
-@pytest.mark.parametrize("algo", ["auto", "xp"])
+@pytest.mark.parametrize("algo", ["auto", "xp", "oracle"])
 def test_long_nested_core_solves_without_recursion(algo):
     # 1200 nested new edges on one page: none can be set aside as safe,
     # so the whole core is searched, deeper than the recursion limit
