@@ -1,11 +1,16 @@
-"""Branching solvers built around a gap-sweep dynamic program.
+"""The branching FPT solver and its gap-sweep dynamic program.
 
-``solve_fpt`` guesses, per branch, the page of every new edge, the
-spine order of the new vertices, the super interval each lands in and
-a nesting depth for every new edge with a new endpoint.  Consistent
-branches are settled by a left-to-right sweep over the gaps of the
-fixed spine.  ``solve_greedy_is`` covers the case of pairwise
-non-adjacent new vertices with a first-fit scan instead of the sweep.
+One loop serves ``solve_fpt`` and ``solve_greedy_is``.  It guesses,
+per branch, the page of every new edge, the spine order of the new
+vertices and the super interval each lands in.  A consistent branch is
+settled by a left-to-right pass over the gaps of the fixed spine.
+Without edges between two new vertices, whether a gap admits a vertex
+depends on that vertex alone, so a first-fit scan settles the branch.
+Otherwise each edge between two new vertices also gets a guessed
+nesting depth, and the gap sweep settles every depth combo.  A new
+edge with an old endpoint needs no guess: it runs at the deepest face
+of its new endpoint's gap, and it fits exactly when ``pages_fitting``
+says the gap sees the old endpoint on the edge's page.
 
 Super intervals are the maximal runs of gaps not separated by an old
 vertex incident to a new edge.  Inside such a run, sliding a new vertex
@@ -42,8 +47,10 @@ class BranchAssignment:
 
     ``pages`` maps every new edge to a page, ``order`` lists the new
     vertices in intended spine order, ``supers`` maps each new vertex
-    to a super interval index and ``depths`` maps each new edge with a
-    new endpoint to the nesting depth it is meant to run at.
+    to a super interval index and ``depths`` maps new edges to the
+    nesting depth they are meant to run at.  ``depths`` must cover the
+    edges between two new vertices and may cover the edges between a
+    new and an old vertex; a depth given for the latter is enforced.
     """
 
     pages: Mapping[Edge, int]
@@ -52,16 +59,19 @@ class BranchAssignment:
     depths: Mapping[Edge, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "pages", MappingProxyType(dict(self.pages)))
+        for name in ("pages", "supers", "depths"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "supers", MappingProxyType(dict(self.supers)))
-        object.__setattr__(self, "depths", MappingProxyType(dict(self.depths)))
 
 
 def _deep_edges(inst: Instance) -> list[Edge]:
     # new edges with at least one new endpoint, canonical order
-    old = set(inst.new_old_edges)
-    return [e for e in inst.new_edges if e not in old]
+    return [e for e, ((a, _), (b, _)) in zip(inst.new_edges, inst.endpoints) if a or b]
+
+
+def _linking_edges(inst: Instance) -> list[Edge]:
+    # new edges between two new vertices, canonical order
+    return [e for e, ((a, _), (b, _)) in zip(inst.new_edges, inst.endpoints) if a and b]
 
 
 def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
@@ -76,9 +86,10 @@ def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
         raise InputError("branch must assign a super interval to each new vertex")
     if any(not 0 <= s < count for s in branch.supers.values()):
         raise InputError("branch super interval index out of range")
-    if set(branch.depths) != set(branch.pages) - set(inst.new_old_edges):
+    if not set(_linking_edges(inst)) <= set(branch.depths) <= set(_deep_edges(inst)):
         raise InputError(
-            "branch must assign a depth to exactly the new edges with a new endpoint"
+            "branch depths must cover the edges between new vertices and only "
+            "new edges with a new endpoint"
         )
     if any(d < 0 for d in branch.depths.values()):
         raise InputError("branch depth out of range")
@@ -157,7 +168,7 @@ class DpTable:
 
     @property
     def feasible(self) -> bool:
-        return self.reach[self.gaps][self.placed][0] or self.reach[self.gaps][self.placed][1]
+        return any(self.reach[self.gaps][self.placed])
 
 
 def _sweep_tables(
@@ -166,10 +177,11 @@ def _sweep_tables(
     """Admissibility of placements and gap moves, per gap and count.
 
     ``place_ok[i][j]`` allows placing the ``j``-th ordered vertex at gap
-    ``i``: the gap lies in its super interval, every edge to an old
-    vertex finds that vertex incident to the deepest face of the gap on
-    the edge's page at exactly the branch depth, and every edge to
-    another new vertex matches the gap's deepest depth on its page.
+    ``i``: the gap lies in its super interval, the gap sees the old end
+    of every edge to an old vertex on the edge's page (``pages_fitting``)
+    at the branch depth if one is given, and every edge to another new
+    vertex runs at the branch depth, which must be the gap's deepest
+    depth on its page.
 
     ``shift_ok[i][j]`` allows stepping from gap ``i - 1`` to gap ``i``
     with ``j`` vertices placed: every half-finished edge between a
@@ -177,56 +189,43 @@ def _sweep_tables(
     both gaps at its branch depth.
     """
     sups = super_intervals(inst)
-    old = inst.h.vertex_set
+    fits = lookup.pages_fitting
     n = inst.n_add
     gaps = inst.gap_count
     oidx = {v: t + 1 for t, v in enumerate(branch.order)}
 
-    anchored: dict[Vertex, list[tuple[int, int, Vertex]]] = {v: [] for v in branch.order}
+    anchored: dict[Vertex, list[tuple]] = {v: [] for v in branch.order}
     linking: dict[Vertex, list[tuple[int, int]]] = {v: [] for v in branch.order}
     half: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e, d in branch.depths.items():
-        p = branch.pages[e]
-        u, v = e
-        if u in old:
-            anchored[v].append((p, d, u))
-        elif v in old:
-            anchored[u].append((p, d, v))
-        else:
+    for e, ((u_new, u), (v_new, v)) in zip(inst.new_edges, inst.endpoints):
+        p, d = branch.pages[e], branch.depths.get(e)
+        if u_new and v_new:
             linking[u].append((p, d))
             linking[v].append((p, d))
             x, y = sorted((oidx[u], oidx[v]))
             for j in range(x, y):
                 half[j].append((p, d))
+        elif u_new or v_new:
+            w, r2 = (u, v) if u_new else (v, u)
+            anchored[w].append((p, r2, d))
 
     place_ok = [[False] * (n + 1) for _ in range(gaps + 1)]
     for j in range(1, n + 1):
         v = branch.order[j - 1]
         s = sups[branch.supers[v]]
         for i in range(s.gap_lo, s.gap_hi + 1):
-            ok = True
-            for p, d, u in anchored[v]:
-                ch = lookup.chain(p, i)
-                if d != len(ch) - 1 or not lookup.incident(ch[-1], u):
-                    ok = False
-                    break
-            if ok:
-                for p, d in linking[v]:
-                    if d != lookup.deepest(p, i):
-                        ok = False
-                        break
-            place_ok[i][j] = ok
+            place_ok[i][j] = all(
+                p in fits(2 * i - 1, r2) and d in (None, lookup.deepest(p, i))
+                for p, r2, d in anchored[v]
+            ) and all(d == lookup.deepest(p, i) for p, d in linking[v])
 
     shift_ok = [[False] * (n + 1) for _ in range(gaps + 1)]
     for i in range(2, gaps + 1):
         for j in range(n + 1):
-            ok = True
-            for p, d in half[j]:
-                f = lookup.face_at(p, i - 1, d)
-                if f is None or not f.spans(i):
-                    ok = False
-                    break
-            shift_ok[i][j] = ok
+            shift_ok[i][j] = all(
+                (f := lookup.face_at(p, i - 1, d)) is not None and f.spans(i)
+                for p, d in half[j]
+            )
     return place_ok, shift_ok
 
 
@@ -235,11 +234,8 @@ def dp_table(
 ) -> DpTable:
     """Run the gap sweep for one branch and return the state table."""
     _validate_branch(inst, branch)
-    if lookup is None:
-        lookup = inst.lookup
-    place_ok, shift_ok = _sweep_tables(inst, branch, lookup)
-    n = inst.n_add
-    gaps = inst.gap_count
+    place_ok, shift_ok = _sweep_tables(inst, branch, lookup or inst.lookup)
+    n, gaps = inst.n_add, inst.gap_count
     reach = [[[False, False] for _ in range(n + 1)] for _ in range(gaps + 1)]
     reach[1][0][0] = True
     for i in range(1, gaps + 1):
@@ -279,29 +275,26 @@ def dp_solve_branch(
 
 
 def _depth_domains(
-    inst: Instance, pages: Mapping[Edge, int], supmap: Mapping[Vertex, int],
-    lookup: FaceLookup,
+    inst: Instance, pages: Mapping[Edge, int], supmap: Mapping[Vertex, int]
 ) -> list[list[int]]:
-    """Depths worth trying per new edge with a new endpoint.
+    """Depths worth trying per edge between two new vertices.
 
-    A compliant placement puts each new endpoint in a gap of its super
+    A compliant placement puts each endpoint in a gap of its super
     interval, where the edge must run at the gap's deepest depth; other
-    depths can never satisfy a placement, so they are skipped.  Domains
-    follow the canonical edge order.
+    depths can never satisfy a placement, so they are skipped.  Edges
+    with an old endpoint get no domain: the gap fixes their depth.
+    Domains follow the canonical edge order.
     """
-    sups = super_intervals(inst)
-    domains = []
-    for e, ends in zip(inst.new_edges, inst.endpoints):
-        dom: Optional[set[int]] = None
-        for new, w in ends:
-            if new:
-                s = sups[supmap[w]]
-                gaps = range(s.gap_lo, s.gap_hi + 1)
-                ds = {lookup.deepest(pages[e], g) for g in gaps}
-                dom = ds if dom is None else dom & ds
-        if dom is not None:
-            domains.append(sorted(dom))
-    return domains
+    sups, deepest = super_intervals(inst), inst.lookup.deepest
+
+    def depths(p: int, w: Vertex) -> set[int]:
+        s = sups[supmap[w]]
+        return {deepest(p, g) for g in range(s.gap_lo, s.gap_hi + 1)}
+
+    return [
+        sorted(depths(pages[e], e[0]) & depths(pages[e], e[1]))
+        for e in _linking_edges(inst)
+    ]
 
 
 def _branch_loop(inst: Instance, stats: SolveStats):
@@ -331,40 +324,85 @@ def _branch_loop(inst: Instance, stats: SolveStats):
                 yield pages, order, sup_tuple
 
 
+def _solve_branches(inst: Instance, stats: SolveStats) -> Optional[Layout]:
+    """The FPT loop: settle every branch of ``_branch_loop`` in turn.
+
+    Without edges between two new vertices, a first-fit scan settles a
+    branch: each vertex, in order, goes to the first gap of its super
+    interval, at or after the previous vertex, that sees all its old
+    neighbours on the branch pages.  Admissibility is then a property
+    of one vertex and one gap, so first-fit never discards a realisable
+    branch.  Otherwise the edges between new vertices get depths from
+    their pruned domains (lexicographic), and each depth combo runs the
+    gap sweep.  ``stats.branches`` counts the rejections of
+    ``_branch_loop``, then per surviving branch 1 for a first-fit or an
+    empty depth domain, else 1 per depth combo swept.
+    """
+    sups = super_intervals(inst)
+    lookup = inst.lookup
+    fits = lookup.pages_fitting
+    linking = _linking_edges(inst)
+    # per new vertex: its edges to old vertices and their doubled positions
+    anchors: dict[Vertex, list[tuple[Edge, int]]] = {v: [] for v in inst.new_vertices}
+    for e, ((u_new, u), (v_new, v)) in zip(inst.new_edges, inst.endpoints):
+        if u_new != v_new:
+            w, r2 = (u, v) if u_new else (v, u)
+            anchors[w].append((e, r2))
+    cells = 2 * inst.gap_count * (inst.n_add + 1)
+
+    for pages, order, sup_tuple in _branch_loop(inst, stats):
+        sol = None
+        if linking:
+            supmap = dict(zip(order, sup_tuple))
+            domains = _depth_domains(inst, pages, supmap)
+            if not all(domains):
+                stats.branches += 1
+                continue
+            for depth_tuple in itertools.product(*domains):
+                stats.branches += 1
+                stats.cells += cells
+                depths = dict(zip(linking, depth_tuple))
+                branch = BranchAssignment(pages, order, supmap, depths)
+                sol = dp_solve_branch(inst, branch, lookup)
+                if sol is not None:
+                    break
+        else:
+            stats.branches += 1
+            ptr = 1
+            placements: list[tuple[int, Vertex]] = []
+            for v, si in zip(order, sup_tuple):
+                s = sups[si]
+                want = [(pages[e], r2) for e, r2 in anchors[v]]
+                ptr = max(ptr, s.gap_lo)
+                while ptr <= s.gap_hi and not all(
+                    p in fits(2 * ptr - 1, r2) for p, r2 in want
+                ):
+                    ptr += 1
+                if ptr > s.gap_hi:
+                    break
+                placements.append((ptr, v))
+            if len(placements) == len(order):
+                sol = _assemble_layout(inst, placements, pages)
+        if sol is not None:
+            if not inst.is_solution(sol):
+                raise RuntimeError(f"{stats.algorithm} produced an invalid layout")
+            return sol
+    return None
+
+
 def solve_fpt(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Layout]:
     """Exact solver parameterised by the number of new vertices and edges.
 
     Branches over pages (lexicographic over the canonical new edge
-    order), new vertex orders (lexicographic), non-decreasing super
-    intervals along the order (lexicographic) and depths per edge
-    (lexicographic over pruned domains); each surviving branch runs the
-    gap sweep.  ``stats.branches`` counts the rejections of
-    ``_branch_loop``, every depth combo reaching the sweep, and 1 for a
-    combo whose depth domains leave no depth combo.
+    order), new vertex orders (lexicographic) and non-decreasing super
+    intervals along the order (lexicographic), and settles each branch
+    by first-fit or, with edges between new vertices, by the gap sweep
+    (see ``_solve_branches``, which also says what ``stats.branches``
+    counts; ``stats.cells`` adds up the sweep tables' cells).
     """
     stats = stats or SolveStats()
     stats.algorithm = "dp-fpt"
-    lookup = inst.lookup
-    deep = _deep_edges(inst)
-    cells = 2 * inst.gap_count * (inst.n_add + 1)
-    for pages, order, sup_tuple in _branch_loop(inst, stats):
-        supmap = dict(zip(order, sup_tuple))
-        domains = _depth_domains(inst, pages, supmap, lookup)
-        if not all(domains):
-            stats.branches += 1
-            continue
-        for depth_tuple in itertools.product(*domains):
-            stats.branches += 1
-            stats.cells += cells
-            branch = BranchAssignment(
-                pages, order, supmap, dict(zip(deep, depth_tuple))
-            )
-            sol = dp_solve_branch(inst, branch, lookup)
-            if sol is not None:
-                if not inst.is_solution(sol):
-                    raise RuntimeError("sweep produced an invalid layout")
-                return sol
-    return None
+    return _solve_branches(inst, stats)
 
 
 def branch_of_solution(inst: Instance, sol: Layout) -> BranchAssignment:
@@ -394,47 +432,14 @@ def solve_greedy_is(
 ) -> Optional[Layout]:
     """Exact solver for pairwise non-adjacent new vertices.
 
-    Same outer branching as ``solve_fpt``, but with no edges between new
-    vertices a single left-to-right first-fit over the gaps settles each
-    branch: a vertex goes to the first gap of its super interval, at or
-    after the current position, from which all its old neighbours are
-    visible on the branch pages.  Visibility is a per-gap, per-vertex
-    property here, so first-fit never discards a realisable branch.
-    ``stats.branches`` counts the rejections of ``_branch_loop`` and
-    every combo the first-fit runs on.
+    ``solve_fpt`` restricted to its first-fit case: with no edges
+    between new vertices every branch is settled by one first-fit scan,
+    and ``stats.branches`` counts the rejections of ``_branch_loop``
+    plus every branch the scan runs on.  Raises :class:`InputError` on
+    an edge between two new vertices.
     """
     stats = stats or SolveStats()
     stats.algorithm = "greedy-is"
-    if any(u_new and v_new for (u_new, _), (v_new, _) in inst.endpoints):
+    if _linking_edges(inst):
         raise InputError("first-fit solver needs pairwise non-adjacent new vertices")
-    sups = super_intervals(inst)
-    fits = inst.lookup.pages_fitting
-    # per new vertex: its edges and the doubled positions of their old ends
-    anchors: dict[Vertex, list[tuple[Edge, int]]] = {v: [] for v in inst.new_vertices}
-    for e, ((u_new, u), (v_new, v)) in zip(inst.new_edges, inst.endpoints):
-        if u_new or v_new:
-            w, r2 = (u, v) if u_new else (v, u)
-            anchors[w].append((e, r2))
-
-    for pages, order, sup_tuple in _branch_loop(inst, stats):
-        stats.branches += 1
-        ptr = 1
-        placements: list[tuple[int, Vertex]] = []
-        for v, si in zip(order, sup_tuple):
-            s = sups[si]
-            want = [(pages[e], r2) for e, r2 in anchors[v]]
-            ptr = max(ptr, s.gap_lo)
-            while ptr <= s.gap_hi and not all(
-                p in fits(2 * ptr - 1, r2) for p, r2 in want
-            ):
-                ptr += 1
-            if ptr > s.gap_hi:
-                break
-            placements.append((ptr, v))
-        if len(placements) != len(order):
-            continue
-        sol = _assemble_layout(inst, placements, pages)
-        if not inst.is_solution(sol):
-            raise RuntimeError("first-fit produced an invalid layout")
-        return sol
-    return None
+    return _solve_branches(inst, stats)

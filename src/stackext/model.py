@@ -359,12 +359,6 @@ def faces(layout: Layout, p: Page) -> tuple[Face, ...]:
     return tuple(out)
 
 
-def _doubled(f: Face) -> tuple[int, int]:
-    # doubled span of a face's bounding edge; the outer face reaches one
-    # position beyond either end of the spine
-    return 2 * f.gap_lo - 2, 2 * f.gap_hi
-
-
 class FaceLookup:
     """Index of a crossing-free fixed layout: faces, chains and visibility.
 
@@ -378,8 +372,9 @@ class FaceLookup:
         self.layout = layout
         n = len(layout.spine)
         self._chains: dict[tuple[int, int], tuple[Face, ...]] = {}
-        # per page and doubled position: span of the innermost face
-        # strictly enclosing that position
+        # per page and doubled position: doubled span of the innermost
+        # face strictly enclosing that position (the outer face reaches
+        # one position beyond either end of the spine)
         self._inner: dict[int, list[tuple[int, int]]] = {}
         self._fits: dict[tuple[int, int], frozenset[int]] = {}
         for p in range(1, layout.ell + 1):
@@ -388,7 +383,7 @@ class FaceLookup:
             chains = [(outer, *(arcs[i] for i in ids)) for ids in enclosing]
             for g in range(1, n + 2):
                 self._chains[(p, g)] = chains[2 * g - 1]
-            self._inner[p] = [_doubled(ch[-1]) for ch in chains]
+            self._inner[p] = [(2 * f.gap_lo - 2, 2 * f.gap_hi) for *_, f in chains]
 
     def chain(self, page: int, gap: int) -> tuple[Face, ...]:
         return self._chains[(page, gap)]
@@ -399,16 +394,6 @@ class FaceLookup:
 
     def deepest(self, page: int, gap: int) -> int:
         return len(self._chains[(page, gap)]) - 1
-
-    def incident(self, f: Face, w: Vertex) -> bool:
-        """Whether spine vertex ``w`` lies on the boundary of face ``f``.
-
-        A vertex belongs to the deepest face covering it, and to every
-        face whose bounding edge it ends.
-        """
-        r2 = 2 * self.layout.rank_of(w)
-        span = _doubled(f)
-        return r2 in span or self._inner[f.page][r2] == span
 
     def pages_fitting(self, a2: int, b2: int) -> frozenset[int]:
         """Pages on which the span between doubled positions ``a2`` and

@@ -19,9 +19,8 @@ solutions back to witnesses of the source problem and vice versa.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .cnf import Clause, Formula, evaluate
 from .model import (
@@ -35,7 +34,7 @@ from .model import (
     make_instance,
 )
 from .oracle import enumerate_solutions
-from .serialize import load_json
+from .serialize import _need, canonical, load_json
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +144,23 @@ def fixation_layout(f_count: int, ell: int) -> Layout:
 # satisfiability
 
 
+def _list_of(x: Any, kind: type, size: int = -1) -> bool:
+    # a JSON list of ``kind`` items (booleans are no integers), of length
+    # ``size`` unless that is -1
+    return isinstance(x, list) and size in (-1, len(x)) and all(
+        isinstance(i, kind) and not isinstance(i, bool) for i in x
+    )
+
+
+def _cert_field(doc: Any, key: str, item_ok) -> list:
+    """List field ``key`` of a certificate document whose items all pass
+    ``item_ok``; raises :class:`InputError` otherwise."""
+    val = _need(doc, key, list, "certificate")
+    if not all(map(item_ok, val)):
+        raise InputError(f"certificate.{key} has a malformed entry")
+    return val
+
+
 @dataclass(frozen=True)
 class SatCertificate:
     """Links a formula to its reduced instance.
@@ -227,12 +243,14 @@ class SatCertificate:
 
     def to_json(self) -> str:
         doc = {"n_vars": self.n_vars, "clauses": [list(c) for c in self.clauses]}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return canonical(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "SatCertificate":
-        doc = json.loads(text)
-        return cls(doc["n_vars"], tuple(tuple(c) for c in doc["clauses"]))
+        doc = load_json(text)
+        clauses = _cert_field(doc, "clauses", lambda c: _list_of(c, int))
+        formula = Formula(_need(doc, "n_vars", int, "certificate"), map(tuple, clauses))
+        return cls(formula.n_vars, formula.clauses)
 
 
 def reduce_3sat(formula: Formula) -> tuple[Instance, SatCertificate]:
@@ -415,10 +433,6 @@ class CliqueCertificate:
         return f"v{a}_{i}"
 
     @property
-    def clique_instance(self) -> CliqueInstance:
-        return CliqueInstance(self.part_sizes, self.edges)
-
-    @property
     def k(self) -> int:
         return len(self.part_sizes)
 
@@ -492,16 +506,26 @@ class CliqueCertificate:
             "dropped": [list(d) for d in self.dropped],
             "labels": [list(row) for row in self.labels],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return canonical(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "CliqueCertificate":
-        doc = json.loads(text)
+        doc = load_json(text)
+
+        def edge_ok(e) -> bool:  # [[part, index], [part, index]]
+            return _list_of(e, list, 2) and all(_list_of(v, int, 2) for v in e)
+
+        def dropped_ok(d) -> bool:  # [u, v, skipped page, kept page]
+            return _list_of(d, object, 4) and _list_of(d[:2], str) and _list_of(d[2:], int)
+
+        sizes = _cert_field(doc, "part_sizes", lambda s: _list_of([s], int))
+        gc = CliqueInstance(tuple(sizes), _cert_field(doc, "edges", edge_ok))
+        dropped = _cert_field(doc, "dropped", dropped_ok)
+        labels = []
+        if "labels" in doc:
+            labels = _cert_field(doc, "labels", lambda row: _list_of(row, str))
         return cls(
-            tuple(doc["part_sizes"]),
-            tuple((tuple(a), tuple(b)) for a, b in doc["edges"]),
-            tuple((d[0], d[1], int(d[2]), int(d[3])) for d in doc["dropped"]),
-            tuple(tuple(row) for row in doc.get("labels", ())),
+            gc.part_sizes, gc.edges, tuple(map(tuple, dropped)), tuple(map(tuple, labels))
         )
 
 

@@ -73,6 +73,14 @@ def _name_list(val: Any, where: str) -> tuple[str, ...]:
     return tuple(val)
 
 
+def _edge_docs(layout: Layout) -> list[dict]:
+    # every edge as {"u", "v", "page"}, left end first, sorted by the
+    # spine positions of its ends, then by page
+    ends = {e: sorted(e, key=layout.rank_of) for e in layout.page_of}
+    order = sorted(ends, key=lambda e: (*map(layout.rank_of, ends[e]), layout.page_of[e]))
+    return [{"u": ends[e][0], "v": ends[e][1], "page": layout.page_of[e]} for e in order]
+
+
 def _edge_obj(item: Any, where: str, with_page: bool):
     u = _need(item, "u", str, where)
     v = _need(item, "v", str, where)
@@ -87,21 +95,9 @@ def _edge_obj(item: Any, where: str, with_page: bool):
 
 def instance_to_doc(inst: Instance) -> dict:
     lay = inst.layout_h
-
-    def rank_key(item):
-        e, p = item
-        a, b = lay.rank_of(e[0]), lay.rank_of(e[1])
-        if a > b:
-            a, b = b, a
-        return a, b, p
-
-    h_edges = []
-    for e, p in sorted(lay.page_of.items(), key=rank_key):
-        a, b = sorted(e, key=lay.rank_of)
-        h_edges.append({"u": a, "v": b, "page": p})
     return {
         "ell": inst.ell,
-        "H": {"spine": list(lay.spine.order), "edges": h_edges},
+        "H": {"spine": list(lay.spine.order), "edges": _edge_docs(lay)},
         "new_vertices": list(inst.new_vertices),
         "new_edges": [{"u": u, "v": v} for u, v in inst.new_edges],
     }
@@ -142,18 +138,7 @@ class RawSolution:
 
 
 def solution_to_doc(layout: Layout) -> dict:
-    def rank_key(item):
-        e, p = item
-        a, b = layout.rank_of(e[0]), layout.rank_of(e[1])
-        if a > b:
-            a, b = b, a
-        return a, b, p
-
-    pages = []
-    for e, p in sorted(layout.page_of.items(), key=rank_key):
-        a, b = sorted(e, key=layout.rank_of)
-        pages.append({"u": a, "v": b, "page": p})
-    return {"spine": list(layout.spine.order), "pages": pages}
+    return {"spine": list(layout.spine.order), "pages": _edge_docs(layout)}
 
 
 def solution_from_doc(doc: Any) -> RawSolution:

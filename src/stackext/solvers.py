@@ -102,7 +102,7 @@ def reduce_safe_edges(inst: Instance) -> tuple[Instance, tuple[Edge, ...]]:
     return Instance(inst.ell, g, inst.h, inst.layout_h), tuple(removed)
 
 
-def _assign_with_fits(new_pairs, fits, ell: int) -> Optional[list[int]]:
+def _assign_with_fits(new_pairs, fits) -> Optional[list[int]]:
     """Page per endpoint pair given per-pair page options, or ``None``.
 
     Pair endpoints only need to be comparable; equal endpoints mean a
@@ -116,7 +116,7 @@ def _assign_with_fits(new_pairs, fits, ell: int) -> Optional[list[int]]:
     core, removed = _removal_order(order, {i: len(fits[i]) for i in order})
     options = [sorted(fits[i]) for i in core]
     pick = [-1] * len(core)  # per core pair: index of its current page
-    added: dict[int, list] = {p: [] for p in range(1, ell + 1)}
+    added: dict[int, list] = {}  # per page in use: pairs placed there
     t = 0
     while 0 <= t < len(core):
         a, b = new_pairs[core[t]]
@@ -125,12 +125,12 @@ def _assign_with_fits(new_pairs, fits, ell: int) -> Optional[list[int]]:
             added[pages[pick[t]]].pop()
         k = pick[t] + 1
         while k < len(pages) and any(
-            alternates(x, y, a, b) for x, y in added[pages[k]]
+            alternates(x, y, a, b) for x, y in added.get(pages[k], ())
         ):
             k += 1
         if k < len(pages):
             pick[t] = k
-            added[pages[k]].append((a, b))
+            added.setdefault(pages[k], []).append((a, b))
             t += 1
         else:
             pick[t] = -1
@@ -262,7 +262,7 @@ def solve_xp(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Lay
             fits = [pages_fitting(a // scale, b // scale) for a, b in pairs]
             if not all(fits):
                 continue
-            chosen = _assign_with_fits(pairs, fits, inst.ell)
+            chosen = _assign_with_fits(pairs, fits)
             if chosen is not None:
                 pages = zip(inst.new_edges, chosen)
                 return _assemble_layout(inst, zip(slots, perm), pages)

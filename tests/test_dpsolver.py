@@ -190,6 +190,48 @@ def test_dp_solutions_comply_with_their_branch():
             assert back.depths == branch.depths
 
 
+def test_dp_branch_needs_depths_only_between_new_vertices():
+    # a branch whose depths cover just the edges between two new vertices
+    # is realisable exactly when some completion of the other depths is;
+    # a depth given to an edge with an old end is enforced
+    partial_branches = wrong_depths = 0
+    for inst in small_dp_corpus(40, seed=45_000):
+        news = set(inst.new_vertices)
+        between = [e for e in inst.new_edges if set(e) <= news]
+        sups = super_intervals(inst)
+        lookup = FaceLookup(inst.layout_h)
+        cap = page_width(inst.layout_h) + 1
+        realisable: dict = {}
+        for branch in enumerate_branches(inst):
+            if check_branch(inst, branch) is not None:
+                continue
+            key = (
+                tuple(branch.pages.items()),
+                branch.order,
+                tuple(branch.supers.items()),
+                tuple(branch.depths[e] for e in between),
+            )
+            realisable[key] = realisable.get(key) or branch_brute_force(inst, branch)
+        for (pages, order, supers, depths), want in realisable.items():
+            partial = BranchAssignment(
+                dict(pages), order, dict(supers), dict(zip(between, depths))
+            )
+            partial_branches += 1
+            assert (dp_solve_branch(inst, partial, lookup) is not None) == want
+            for e in set(_deep_edges(inst)) - set(between):
+                w = e[0] if e[0] in news else e[1]
+                s = sups[partial.supers[w]]
+                p = partial.pages[e]
+                fixed = {lookup.deepest(p, g) for g in range(s.gap_lo, s.gap_hi + 1)}
+                for d in set(range(cap + 1)) - fixed:
+                    wrong = BranchAssignment(
+                        partial.pages, order, partial.supers, {**partial.depths, e: d}
+                    )
+                    wrong_depths += 1
+                    assert dp_solve_branch(inst, wrong, lookup) is None
+    assert partial_branches >= 300 and wrong_depths >= 300
+
+
 def test_solve_fpt_matches_reference():
     for inst in random_corpus(120, seed=42_000, v_max=6, ell_max=3):
         stats = SolveStats()
@@ -216,6 +258,7 @@ def test_greedy_matches_reference_on_its_domain():
         assert (sol is not None) == reference_extendable(inst)
         if sol is not None:
             assert inst.is_solution(sol)
+        assert solve_fpt(inst) == sol
     assert checked >= 100
 
 

@@ -3,8 +3,12 @@
 The acceptance gate covers instance boxes small enough to enumerate;
 here face depths above 1, super intervals and branch pruning come into
 play.  Every third draw gets one extra new edge between old vertices,
-which turns some instances unextendable.
+which turns some instances unextendable.  Few planted draws join two
+new vertices, so a second corpus keeps the draws that do: only those
+run ``dp-fpt``'s gap sweep rather than its first-fit case.
 """
+
+import pytest
 
 from stackext import InputError, page_width, solve, solve_exhaustive, verify_solution
 
@@ -23,14 +27,29 @@ def _corpus():
     return out
 
 
+def _linked_corpus(count: int = 14):
+    # the first planted draws with an edge between two new vertices
+    # (about 1 in 9 with 2-3 new vertices)
+    out = []
+    k = 0
+    while len(out) < count:
+        inst = planted_instance(
+            46_000 + k, 20 + (k * 7) % 21, 2, 2 + k % 2, 4 + k % 2, extra=k % 3 == 2
+        )
+        k += 1
+        news = set(inst.new_vertices)
+        if any(u in news and v in news for u, v in inst.new_edges):
+            out.append(inst)
+    return out
+
+
 def test_xp_greedy_and_dp_agree_with_the_oracle():
     corpus = _corpus()
     verdicts = []
     for inst in corpus:
         expected = solve_exhaustive(inst) is not None
         verdicts.append(expected)
-        algos = ["xp", "greedy-is"] + (["dp-fpt"] if expected else [])
-        for algo in algos:
+        for algo in ("xp", "greedy-is", "dp-fpt"):
             try:
                 sol = solve(inst, algo)
             except InputError:
@@ -41,3 +60,18 @@ def test_xp_greedy_and_dp_agree_with_the_oracle():
                 assert verify_solution(inst, sol) == ()
     assert not all(verdicts) and any(verdicts)
     assert max(page_width(inst.layout_h) for inst in corpus) >= 2
+
+
+def test_xp_and_dp_agree_with_the_oracle_across_new_vertex_edges():
+    verdicts = []
+    for inst in _linked_corpus():
+        expected = solve_exhaustive(inst) is not None
+        verdicts.append(expected)
+        with pytest.raises(InputError):
+            solve(inst, "greedy-is")
+        for algo in ("xp", "dp-fpt"):
+            sol = solve(inst, algo)
+            assert (sol is not None) == expected, (algo, inst.n_add, inst.m_add)
+            if sol is not None:
+                assert verify_solution(inst, sol) == ()
+    assert not all(verdicts) and any(verdicts)

@@ -205,27 +205,23 @@ def test_face_chain_hand_example():
 
 
 def test_vertex_incidence_hand_example():
+    # a gap sees a vertex exactly when the vertex lies on the boundary of
+    # the gap's deepest face; ``pages_fitting`` is the one test for it
     lay = _demo_layout()
     lookup = FaceLookup(lay)
-    by_edge = {f.edge: f for f in faces(lay, 1)}
-    outer, big, left, right = (
-        by_edge[None],
-        by_edge[edge("a", "f")],
-        by_edge[edge("a", "c")],
-        by_edge[edge("c", "e")],
-    )
-    # c joins its two bounding edges and still touches the big face
-    assert lookup.incident(left, "c")
-    assert lookup.incident(right, "c")
-    assert lookup.incident(big, "c")
+
+    def seen_from(w):
+        r2 = 2 * lay.rank_of(w)
+        return [g for g in range(1, 8) if 1 in lookup.pages_fitting(2 * g - 1, r2)]
+
+    # c joins its two bounding edges and still touches the big face (gap 6)
+    assert seen_from("c") == [2, 3, 4, 5, 6]
     # b is sealed under (a, c)
-    assert lookup.incident(left, "b")
-    assert not lookup.incident(big, "b")
-    assert not lookup.incident(outer, "b")
-    # the outer face touches the extremes
-    assert lookup.incident(outer, "a")
-    assert lookup.incident(outer, "f")
-    assert not lookup.incident(right, "a")
+    assert seen_from("b") == [2, 3]
+    # the outer face (gaps 1 and 7) touches the extremes, and a is hidden
+    # from the face below (c, e)
+    assert seen_from("a") == [1, 2, 3, 6, 7]
+    assert seen_from("f") == [1, 6, 7]
 
 
 def test_gap_incidence_is_deepest_face():

@@ -316,6 +316,40 @@ def test_clique_certificate_round_trip():
     assert again == cert
 
 
+_CERT_MALFORMED = [
+    pytest.param("[" * 200_000, id="deep-nesting"),
+    pytest.param("[]", id="list"),
+    pytest.param("{}", id="empty-object"),
+    pytest.param('{"n_vars": 2, "clauses": 5}', id="clauses-not-a-list"),
+    pytest.param('{"n_vars": 3, "clauses": [[1, 2, true]]}', id="boolean-literal"),
+    pytest.param('{"n_vars": 3, "clauses": [[1, 2, 4]]}', id="literal-out-of-range"),
+    pytest.param(
+        '{"part_sizes": [2, 1], "edges": [[[1, 1], [2]]], "dropped": []}',
+        id="short-edge-end",
+    ),
+    pytest.param(
+        '{"part_sizes": [2, 1], "edges": [[[1, 1], [2, 1]]], "dropped": [["a", "b", 1]]}',
+        id="short-dropped-entry",
+    ),
+    pytest.param(
+        '{"part_sizes": [2, 1], "edges": [[[1, 1], [2, 1]]], "dropped": [],'
+        ' "labels": [["a", "b"], [3]]}',
+        id="label-not-a-string",
+    ),
+    pytest.param(
+        '{"part_sizes": [2, 0], "edges": [[[1, 1], [2, 1]]], "dropped": []}',
+        id="empty-part",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls", [SatCertificate, CliqueCertificate])
+@pytest.mark.parametrize("text", _CERT_MALFORMED)
+def test_certificate_from_json_rejects_malformed_input(cls, text):
+    with pytest.raises(InputError):
+        cls.from_json(text)
+
+
 def test_parse_clique_input():
     doc = {
         "vertices": [
