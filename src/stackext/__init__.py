@@ -31,7 +31,6 @@ from .dpsolver import (
 )
 from .generate import gen_random, random_clique_instance
 from .model import (
-    Edge,
     Face,
     FaceLookup,
     Graph,
@@ -39,8 +38,6 @@ from .model import (
     Instance,
     Layout,
     SpineOrder,
-    SuperInterval,
-    Vertex,
     edge,
     extends,
     faces,
@@ -61,7 +58,6 @@ from .reductions import (
     CliqueCertificate,
     CliqueInstance,
     GadgetCertificate,
-    LemmaReport,
     SatCertificate,
     build_fixation_gadget,
     check_reduction_lemmas,
@@ -100,7 +96,6 @@ __all__ = [
     "CapacityError",
     "CliqueCertificate",
     "CliqueInstance",
-    "Edge",
     "Face",
     "FaceLookup",
     "Formula",
@@ -109,13 +104,10 @@ __all__ = [
     "InputError",
     "Instance",
     "Layout",
-    "LemmaReport",
     "RawSolution",
     "SatCertificate",
     "SolveStats",
     "SpineOrder",
-    "SuperInterval",
-    "Vertex",
     "Violation",
     "all_clauses",
     "assignments",

@@ -186,7 +186,11 @@ def _sweep_tables(
     ``shift_ok[i][j]`` allows stepping from gap ``i - 1`` to gap ``i``
     with ``j`` vertices placed: every half-finished edge between a
     placed and an unplaced new vertex must run in a face that spans
-    both gaps at its branch depth.
+    both gaps at its branch depth ``d``.  That holds exactly when ``d``
+    is at most the depth of the vertex between the two gaps (doubled
+    position ``2i - 2``): an edge encloses both gaps exactly when it
+    encloses that vertex, and such edges are the outer part of both
+    gaps' nested runs of faces, so the face at depth ``d`` is shared.
     """
     sups = super_intervals(inst)
     fits = lookup.pages_fitting
@@ -222,10 +226,7 @@ def _sweep_tables(
     shift_ok = [[False] * (n + 1) for _ in range(gaps + 1)]
     for i in range(2, gaps + 1):
         for j in range(n + 1):
-            shift_ok[i][j] = all(
-                (f := lookup.face_at(p, i - 1, d)) is not None and f.spans(i)
-                for p, d in half[j]
-            )
+            shift_ok[i][j] = all(d <= lookup.depth(p, 2 * i - 2) for p, d in half[j])
     return place_ok, shift_ok
 
 

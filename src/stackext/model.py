@@ -84,9 +84,6 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return self._eset  # type: ignore[attr-defined]
 
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return edge(u, v) in self.edge_set
-
 
 @dataclass(frozen=True)
 class SpineOrder:
@@ -182,7 +179,8 @@ def make_layout(
 #
 # Positions are doubled so that gaps fit between vertex ranks as integers:
 # the vertex of rank r sits at 2r, gap g sits at 2g - 1.  Every crossing,
-# visibility and face question about a layout is answered here.
+# visibility and face question about a layout is answered here, and
+# ``_stack_scan`` is the one place that computes face depths.
 
 
 def alternates(a, b, c, d) -> bool:
@@ -212,12 +210,13 @@ def _stack_scan(spans, probes=()):
     but closes beyond it alternates with it, and every alternating pair
     shows up this way.  ``spans`` holds ``(lo, hi)`` pairs, ``lo < hi``.
 
-    Returns ``(crossing, depths, enclosing)``.  ``crossing`` is ``None``
-    or the indices of an alternating pair, at which the sweep stops.
+    Returns ``(crossing, depths, inner)``.  ``crossing`` is ``None`` or
+    the indices of an alternating pair, at which the sweep stops.
     ``depths[i]`` is the stack height once arc ``i`` has opened: the
-    number of arcs containing it, itself included.  ``enclosing[t]``
-    lists the arcs strictly enclosing position ``probes[t]``, outermost
-    first.
+    number of arcs containing it, itself included.  ``inner[t]`` is the
+    innermost arc strictly enclosing position ``probes[t]``, or -1.  The
+    arcs enclosing a probe are the stack, so there are
+    ``depths[inner[t]]`` of them (0 for -1).
     """
     events = sorted(
         [(lo, 1, -hi, i) for i, (lo, hi) in enumerate(spans)]
@@ -225,18 +224,19 @@ def _stack_scan(spans, probes=()):
     )
     stack: list[int] = []
     depths = [0] * len(spans)
-    enclosing: list[tuple[int, ...]] = [()] * len(probes)
+    inner = [-1] * len(probes)
     for pos, is_arc, neg_hi, i in events:
         while stack and spans[stack[-1]][1] <= pos:
             stack.pop()
         if not is_arc:
-            enclosing[i] = tuple(stack)
+            if stack:
+                inner[i] = stack[-1]
         elif stack and spans[stack[-1]][1] < -neg_hi:
-            return (stack[-1], i), depths, enclosing
+            return (stack[-1], i), depths, inner
         else:
             stack.append(i)
             depths[i] = len(stack)
-    return None, depths, enclosing
+    return None, depths, inner
 
 
 def find_crossing(layout: Layout) -> Optional[tuple[Edge, Edge, Page]]:
@@ -288,23 +288,28 @@ def extends(layout_g: Layout, layout_h: Layout) -> bool:
 # pages as plane subdivisions
 
 
+def _page_scan(layout: Layout, p: Page, probes=()):
+    # doubled spans, arc depths and the innermost arc around each probe
+    # of page ``p``, from one stack scan; a crossing is an input error
+    spans = _spans(layout, p)
+    crossing, depths, inner = _stack_scan(spans, probes)
+    if crossing is not None:
+        raise InputError(f"page {p} is not crossing-free")
+    return spans, depths, inner
+
+
 def page_width(layout: Layout) -> int:
-    """Largest number of same-page edges strictly spanning a single gap."""
-    n = len(layout.spine)
-    best = 0
-    for p in range(1, layout.ell + 1):
-        diff = [0] * (n + 3)
-        for a, b in _spans(layout, p):
-            lo, hi = a // 2 + 1, b // 2  # spanned gaps
-            if lo <= hi:
-                diff[lo] += 1
-                diff[hi + 1] -= 1
-        run = 0
-        for g in range(1, n + 2):
-            run += diff[g]
-            if run > best:
-                best = run
-    return best
+    """Largest number of same-page edges strictly spanning a single gap.
+
+    This is the largest arc depth of the stack scan: the edges over a
+    position are those containing the innermost one, and the gap just
+    inside an edge's left end lies under every edge containing it.
+    Raises :class:`InputError` on a page with a crossing.
+    """
+    return max(
+        (d for p in range(1, layout.ell + 1) for d in _page_scan(layout, p)[1]),
+        default=0,
+    )
 
 
 @dataclass(frozen=True)
@@ -330,21 +335,6 @@ class Face:
         return self.gap_lo <= g <= self.gap_hi
 
 
-def _page_faces(layout: Layout, p: Page, probes=()):
-    # faces of page ``p``'s arcs in ``edges_on_page`` order, plus the
-    # arcs enclosing each probe position, from one stack scan
-    page = layout.edges_on_page(p)
-    spans = _spans(layout, p)
-    crossing, depths, enclosing = _stack_scan(spans, probes)
-    if crossing is not None:
-        raise InputError(f"page {p} is not crossing-free")
-    arcs = [
-        Face(p, e, d, lo // 2 + 1, hi // 2)
-        for e, (lo, hi), d in zip(page, spans, depths)
-    ]
-    return arcs, enclosing
-
-
 def faces(layout: Layout, p: Page) -> tuple[Face, ...]:
     """All faces of page ``p``: the outer face plus one per assigned edge.
 
@@ -353,47 +343,48 @@ def faces(layout: Layout, p: Page) -> tuple[Face, ...]:
     (endpoints shared with the enclosing edge count as enclosed).
     Raises :class:`InputError` if page ``p`` has a crossing.
     """
-    arcs, _ = _page_faces(layout, p)
-    out = [Face(p, None, 0, 1, len(layout.spine) + 1), *arcs]
+    spans, depths, _ = _page_scan(layout, p)
+    out = [Face(p, None, 0, 1, len(layout.spine) + 1)]
+    out += (
+        Face(p, e, d, lo // 2 + 1, hi // 2)
+        for e, (lo, hi), d in zip(layout.edges_on_page(p), spans, depths)
+    )
     out.sort(key=lambda f: (f.depth, f.gap_lo, f.gap_hi))
     return tuple(out)
 
 
 class FaceLookup:
-    """Index of a crossing-free fixed layout: faces, chains and visibility.
+    """Index of a crossing-free fixed layout: face depths and visibility.
 
-    Built with one stack scan per page.  The chain at a gap lists the
-    faces spanning it from the outer face inward; depths are consecutive,
-    so the face at depth ``d`` is chain entry ``d`` and the deepest face
-    is the last entry.  Raises :class:`InputError` on a crossing.
+    One stack scan per page, probed at every doubled position
+    ``0 .. 2n + 1``, fills two tables: how many of the page's edges
+    strictly enclose the position, and the doubled span of the innermost
+    of them (the outer face reaches one position beyond either end of
+    the spine).  The faces spanning a gap are the outer face and the
+    edges over it, at consecutive depths ``0 .. deepest``.  Raises
+    :class:`InputError` on a crossing.
     """
 
     def __init__(self, layout: Layout):
-        self.layout = layout
-        n = len(layout.spine)
-        self._chains: dict[tuple[int, int], tuple[Face, ...]] = {}
-        # per page and doubled position: doubled span of the innermost
-        # face strictly enclosing that position (the outer face reaches
-        # one position beyond either end of the spine)
+        top = 2 * len(layout.spine) + 1
+        self._depth: dict[int, list[int]] = {}
         self._inner: dict[int, list[tuple[int, int]]] = {}
         self._fits: dict[tuple[int, int], frozenset[int]] = {}
         for p in range(1, layout.ell + 1):
-            arcs, enclosing = _page_faces(layout, p, range(2 * n + 2))
-            outer = Face(p, None, 0, 1, n + 1)
-            chains = [(outer, *(arcs[i] for i in ids)) for ids in enclosing]
-            for g in range(1, n + 2):
-                self._chains[(p, g)] = chains[2 * g - 1]
-            self._inner[p] = [(2 * f.gap_lo - 2, 2 * f.gap_hi) for *_, f in chains]
+            spans, depths, inner = _page_scan(layout, p, range(top + 1))
+            # index -1, no enclosing edge, reads the outer face put last
+            depths.append(0)
+            spans.append((0, top + 1))
+            self._depth[p] = [depths[i] for i in inner]
+            self._inner[p] = [spans[i] for i in inner]
 
-    def chain(self, page: int, gap: int) -> tuple[Face, ...]:
-        return self._chains[(page, gap)]
-
-    def face_at(self, page: int, gap: int, depth: int) -> Optional[Face]:
-        ch = self._chains[(page, gap)]
-        return ch[depth] if 0 <= depth < len(ch) else None
+    def depth(self, page: int, x: int) -> int:
+        """Number of edges of ``page`` strictly enclosing doubled position ``x``."""
+        return self._depth[page][x]
 
     def deepest(self, page: int, gap: int) -> int:
-        return len(self._chains[(page, gap)]) - 1
+        """Depth of the innermost face of ``page`` spanning ``gap``."""
+        return self._depth[page][2 * gap - 1]
 
     def pages_fitting(self, a2: int, b2: int) -> frozenset[int]:
         """Pages on which the span between doubled positions ``a2`` and

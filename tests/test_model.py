@@ -156,6 +156,12 @@ def test_page_width_hand_example():
     assert page_width(lay) == 2
 
 
+def test_page_width_rejects_crossing_layout():
+    lay = make_layout(("a", "b", "c", "d"), 2, [("a", "c", 2), ("b", "d", 2)])
+    with pytest.raises(InputError):
+        page_width(lay)
+
+
 @given(small_instances())
 @settings(max_examples=60, deadline=None)
 def test_page_width_matches_naive_count(params):
@@ -195,13 +201,15 @@ def test_faces_hand_example():
 
 
 def test_face_chain_hand_example():
-    lookup = FaceLookup(_demo_layout())
-    chain = lookup.chain(1, 4)
-    assert [f.edge for f in chain] == [None, edge("a", "f"), edge("c", "e")]
-    assert [f.depth for f in chain] == [0, 1, 2]
-    assert lookup.face_at(1, 4, 2).edge == edge("c", "e")
-    assert lookup.face_at(1, 4, 3) is None
-    assert lookup.deepest(1, 4) == 2
+    lay = _demo_layout()
+    lookup = FaceLookup(lay)
+    # gap 4 (doubled position 7) lies under (a, f) and (c, e)
+    assert lookup.deepest(1, 4) == lookup.depth(1, 7) == 2
+    spanning = [f for f in faces(lay, 1) if f.spans(4)]
+    assert [f.edge for f in spanning] == [None, edge("a", "f"), edge("c", "e")]
+    assert [f.depth for f in spanning] == [0, 1, 2]
+    # vertex c (doubled position 6) lies under (a, f) only
+    assert lookup.depth(1, 6) == 1
 
 
 def test_vertex_incidence_hand_example():
@@ -228,10 +236,17 @@ def test_gap_incidence_is_deepest_face():
     lay = _demo_layout()
     lookup = FaceLookup(lay)
     by_edge = {f.edge: f for f in faces(lay, 1)}
-    assert lookup.chain(1, 4)[-1] == by_edge[edge("c", "e")]
-    assert lookup.chain(1, 6)[-1] == by_edge[edge("a", "f")]
-    assert lookup.chain(1, 1)[-1] == by_edge[None]
-    assert lookup.chain(1, 7)[-1] == by_edge[None]
+
+    def innermost(g):
+        (face,) = [
+            f for f in by_edge.values() if f.spans(g) and f.depth == lookup.deepest(1, g)
+        ]
+        return face
+
+    assert innermost(4) == by_edge[edge("c", "e")]
+    assert innermost(6) == by_edge[edge("a", "f")]
+    assert innermost(1) == by_edge[None]
+    assert innermost(7) == by_edge[None]
 
 
 @given(small_instances())
@@ -245,10 +260,9 @@ def test_face_chains_consecutive_depths(params):
     for p in range(1, lay.ell + 1):
         page_faces = faces(lay, p)
         for g in range(1, len(lay.spine) + 2):
-            chain = lookup.chain(p, g)
-            assert [f.depth for f in chain] == list(range(len(chain)))
-            # the chain holds exactly the faces spanning the gap
-            assert set(chain) == {f for f in page_faces if f.spans(g)}
+            # the faces spanning a gap have depths exactly 0 .. deepest
+            depths = sorted(f.depth for f in page_faces if f.spans(g))
+            assert depths == list(range(lookup.deepest(p, g) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +332,16 @@ def test_faces_depths_are_containment_counts(lay):
                 1 for su, sv in spans if (su, sv) != (ru, rv) and su <= ru and rv <= sv
             )
             assert got[e] == 1 + inside
+
+
+@given(raw_layouts(crossing_free=True))
+@settings(max_examples=150, deadline=None)
+def test_depth_matches_pairwise_enclosure(lay):
+    lookup = FaceLookup(lay)
+    for p, spans in _rank_spans(lay).items():
+        for x in range(2 * len(lay.spine) + 2):
+            want = sum(1 for a, b in spans if 2 * a < x < 2 * b)
+            assert lookup.depth(p, x) == want
 
 
 @given(raw_layouts(crossing_free=True))
