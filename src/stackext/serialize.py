@@ -76,9 +76,13 @@ def _name_list(val: Any, where: str) -> tuple[str, ...]:
 def _edge_docs(layout: Layout) -> list[dict]:
     # every edge as {"u", "v", "page"}, left end first, sorted by the
     # spine positions of its ends, then by page
-    ends = {e: sorted(e, key=layout.rank_of) for e in layout.page_of}
-    order = sorted(ends, key=lambda e: (*map(layout.rank_of, ends[e]), layout.page_of[e]))
-    return [{"u": ends[e][0], "v": ends[e][1], "page": layout.page_of[e]} for e in order]
+    rank = layout.spine._rank  # type: ignore[attr-defined]
+    rows = []
+    for (u, v), p in layout.page_of.items():
+        a, b = rank[u], rank[v]
+        rows.append((a, b, p, u, v) if a < b else (b, a, p, v, u))
+    rows.sort()
+    return [{"u": u, "v": v, "page": p} for _, _, p, u, v in rows]
 
 
 def _edge_obj(item: Any, where: str, with_page: bool):
@@ -186,6 +190,26 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+def _nested(spans) -> bool:
+    """Do the ``(lo, hi)`` spans of one page nest, no two alternating?
+
+    One stack pass over the spans sorted by left end, longest first.
+    Arcs that close at or before the new left end are popped, since
+    spans sharing an endpoint never cross; the page has a crossing
+    exactly when the arc left on top closes strictly inside the new
+    span.  It is kept apart from the scan in ``model``, so that a bug in
+    the kernel cannot hide behind the checker.
+    """
+    stack: list[int] = []
+    for lo, neg_hi in sorted((a, -b) for a, b in spans):
+        while stack and stack[-1] <= lo:
+            stack.pop()
+        if stack and stack[-1] < -neg_hi:
+            return False
+        stack.append(-neg_hi)
+    return True
+
+
 def verify_solution(
     inst: Instance, sol: Union[RawSolution, Layout]
 ) -> tuple[Violation, ...]:
@@ -195,6 +219,10 @@ def verify_solution(
     then fidelity to the fixed layout, then crossings.  Later layers
     skip whatever earlier layers flagged, so each defect is reported
     once, under its most specific code.
+
+    Crossings cost O(m log m) on a valid solution: each page is proved
+    crossing-free by its own stack scan, and only the pages that have a
+    crossing have their edges compared pairwise, to list every pair.
     """
     if isinstance(sol, Layout):
         sol = RawSolution(
@@ -265,6 +293,12 @@ def verify_solution(
         and e[0] in rank
         and e[1] in rank
     ]
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), p in placeable:
+        a, b = rank[u], rank[v]
+        spans.setdefault(p, []).append((a, b) if a < b else (b, a))
+    flagged = {p for p, page in spans.items() if not _nested(page)}
+    placeable = [(e, p) for e, p in placeable if p in flagged]
     for i, (e1, p1) in enumerate(placeable):
         a, b = sorted((rank[e1[0]], rank[e1[1]]))
         for e2, p2 in placeable[i + 1 :]:

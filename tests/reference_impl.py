@@ -11,9 +11,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
-from stackext import Instance, InputError, edge, gen_random, make_instance
+from stackext import (
+    Instance,
+    InputError,
+    Layout,
+    RawSolution,
+    Violation,
+    edge,
+    gen_random,
+    make_instance,
+)
+from stackext.model import Edge, Vertex
 
 
 def _clashes(spans_by_page) -> bool:
@@ -359,3 +369,102 @@ def planted_instance(
         new_edges.append(rng.choice(free))
     h_edges = [(u, v, p) for (u, v), p in olds]
     return make_instance(ell, old_spine, h_edges, news, new_edges)
+
+
+# ---------------------------------------------------------------------------
+# pairwise solution checker
+
+
+def reference_verify_solution(
+    inst: Instance, sol: Union[RawSolution, Layout]
+) -> tuple[Violation, ...]:
+    """Every reason ``sol`` is not a solution of ``inst``, empty if valid.
+
+    Compares every pair of placeable edges, on every page, with no stack
+    scan; ``verify_solution`` must return the same tuple.
+
+    Checks are layered: naming problems first, then page assignments,
+    then fidelity to the fixed layout, then crossings.  Later layers
+    skip whatever earlier layers flagged, so each defect is reported
+    once, under its most specific code.
+    """
+    if isinstance(sol, Layout):
+        sol = RawSolution(
+            sol.spine.order,
+            tuple((u, v, p) for (u, v), p in sorted(sol.page_of.items())),
+        )
+    out: list[Violation] = []
+    gset = inst.g.vertex_set
+    rank: dict[Vertex, int] = {}
+    for i, v in enumerate(sol.spine, start=1):
+        if v not in gset:
+            out.append(Violation("unknown-vertex", f"{v!r} is not a vertex"))
+        if v in rank:
+            out.append(Violation("duplicate-vertex", f"{v!r} appears twice"))
+        else:
+            rank[v] = i
+    for v in inst.g.vertices:
+        if v not in rank:
+            out.append(Violation("missing-vertex", f"{v!r} not on the spine"))
+
+    assigned: dict[Edge, int] = {}
+    for u, v, p in sol.pages:
+        if u == v:
+            out.append(Violation("unknown-edge", f"self-loop at {u!r}"))
+            continue
+        e = edge(u, v)
+        if e in assigned:
+            out.append(Violation("duplicate-edge", f"{e} assigned twice"))
+            continue
+        assigned[e] = p
+        if e not in inst.g.edge_set:
+            out.append(Violation("unknown-edge", f"{e} is not an edge"))
+        if not 1 <= p <= inst.ell:
+            out.append(
+                Violation("page-out-of-range", f"{e} on page {p}, have 1..{inst.ell}")
+            )
+    for e in inst.g.edges:
+        if e not in assigned:
+            out.append(Violation("missing-edge-page", f"{e} has no page"))
+
+    it = iter(sol.spine)
+    for v in inst.layout_h.spine:
+        for w in it:
+            if w == v:
+                break
+        else:
+            out.append(
+                Violation(
+                    "spine-order-changed",
+                    f"fixed spine broken at {v!r}",
+                )
+            )
+            break
+    for e, p in inst.layout_h.page_of.items():
+        q = assigned.get(e)
+        if q is not None and q != p:
+            out.append(
+                Violation(
+                    "old-edge-page-changed", f"{e} moved from page {p} to {q}"
+                )
+            )
+
+    placeable = [
+        (e, p)
+        for e, p in sorted(assigned.items())
+        if e in inst.g.edge_set
+        and 1 <= p <= inst.ell
+        and e[0] in rank
+        and e[1] in rank
+    ]
+    for i, (e1, p1) in enumerate(placeable):
+        a, b = sorted((rank[e1[0]], rank[e1[1]]))
+        for e2, p2 in placeable[i + 1 :]:
+            if p1 != p2:
+                continue
+            c, d = sorted((rank[e2[0]], rank[e2[1]]))
+            if a < c < b < d or c < a < d < b:
+                out.append(
+                    Violation("crossing", f"{e1} crosses {e2} on page {p1}")
+                )
+    return tuple(out)

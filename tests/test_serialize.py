@@ -1,5 +1,6 @@
 """File formats and the solution checker."""
 
+import itertools
 import json
 
 import pytest
@@ -20,9 +21,9 @@ from stackext import (
     solve_exhaustive,
     verify_solution,
 )
-from stackext.serialize import as_layout, instance_from_doc
+from stackext.serialize import _nested, as_layout, instance_from_doc
 
-from reference_impl import random_corpus
+from reference_impl import _clashes, random_corpus, reference_verify_solution
 
 
 def _inst():
@@ -287,3 +288,84 @@ def test_violations_are_layered():
 def test_violation_str():
     v = Violation("crossing", "a bad pair")
     assert str(v) == "crossing: a bad pair"
+
+
+# spans over few positions, so shared endpoints and touching arcs are common
+_SPANS = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7))
+    .filter(lambda t: t[0] != t[1])
+    .map(lambda t: tuple(sorted(t))),
+    max_size=9,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SPANS)
+@example([(1, 3), (3, 5)])
+@example([(1, 3), (1, 5)])
+@example([(1, 5), (3, 5), (1, 3)])
+@example([(1, 3), (2, 4)])
+@example([(0, 7), (1, 6), (2, 4), (3, 5)])
+def test_nested_scan_matches_pairwise_alternation(spans):
+    assert _nested(spans) == (not _clashes({1: spans}))
+
+
+@st.composite
+def _checked_solutions(draw):
+    # an instance, then a raw solution that may break every layer of the
+    # checker: crossings on several pages, pages out of range, unknown,
+    # duplicate and missing edges, unknown, duplicate and missing vertices
+    names = [f"v{i}" for i in range(draw(st.integers(2, 9)))]
+    old = names[: draw(st.integers(1, len(names)))]
+    new = names[len(old) :]
+    ell = draw(st.integers(1, 3))
+    pairs = list(itertools.combinations(names, 2))
+    h_edges, new_edges, fixed = [], [], {}
+    many = st.lists(
+        st.sampled_from(pairs), min_size=len(names) - 1, max_size=20, unique=True
+    )
+    for u, v in draw(many):
+        # pairs keep the order of ``names``, of which ``old`` is a prefix
+        span = (old.index(u), old.index(v)) if v in old else None
+        if span is not None and draw(st.booleans()):
+            for p in range(1, ell + 1):
+                if not _clashes({p: fixed.get(p, []) + [span]}):
+                    fixed.setdefault(p, []).append(span)
+                    h_edges.append((u, v, p))
+                    break
+            else:
+                new_edges.append((u, v))
+        else:
+            new_edges.append((u, v))
+    inst = make_instance(ell, old, h_edges, new, new_edges)
+
+    spine = list(draw(st.permutations(names)))
+    if draw(st.integers(0, 5)) == 0:
+        spine.pop(draw(st.integers(0, len(spine) - 1)))
+    if draw(st.integers(0, 5)) == 0:
+        spine.insert(draw(st.integers(0, len(spine))), draw(st.sampled_from(names)))
+    if draw(st.integers(0, 5)) == 0:
+        spine.append("ghost")
+    page_pool = [*range(1, ell + 1)] * 3 + [0, ell + 1]
+    home = {edge(u, v): p for u, v, p in h_edges}
+    pages = []
+    for e in inst.g.edges:
+        if draw(st.integers(0, 11)) == 0:
+            continue
+        pool = page_pool + [home[e]] * 8 if e in home else page_pool
+        u, v = draw(st.permutations(e))
+        pages.append((u, v, draw(st.sampled_from(pool))))
+    ends = st.sampled_from(names + ["ghost"])
+    extra = st.tuples(ends, ends, st.sampled_from(page_pool))
+    pages += draw(st.lists(extra, max_size=3))
+    if pages and draw(st.booleans()):
+        pages.append(draw(st.sampled_from(pages)))
+    pages = draw(st.permutations(pages))
+    return inst, RawSolution(tuple(spine), tuple(pages))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_checked_solutions())
+def test_verify_solution_matches_pairwise_reference(case):
+    inst, raw = case
+    assert verify_solution(inst, raw) == reference_verify_solution(inst, raw)
