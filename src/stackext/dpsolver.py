@@ -22,6 +22,7 @@ what the per-gap face structure encodes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -64,16 +65,6 @@ class BranchAssignment:
         object.__setattr__(self, "order", tuple(self.order))
 
 
-def _deep_edges(inst: Instance) -> list[Edge]:
-    # new edges with at least one new endpoint, canonical order
-    return [e for e, ((a, _), (b, _)) in zip(inst.new_edges, inst.endpoints) if a or b]
-
-
-def _linking_edges(inst: Instance) -> list[Edge]:
-    # new edges between two new vertices, canonical order
-    return [e for e, ((a, _), (b, _)) in zip(inst.new_edges, inst.endpoints) if a and b]
-
-
 def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
     if set(branch.pages) != set(inst.new_edges):
         raise InputError("branch must assign a page to exactly the new edges")
@@ -86,7 +77,8 @@ def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
         raise InputError("branch must assign a super interval to each new vertex")
     if any(not 0 <= s < count for s in branch.supers.values()):
         raise InputError("branch super interval index out of range")
-    if not set(_linking_edges(inst)) <= set(branch.depths) <= set(_deep_edges(inst)):
+    deep = set(inst.new_edges) - set(inst.new_old_edges)
+    if not set(inst.kinds.links) <= set(branch.depths) <= deep:
         raise InputError(
             "branch depths must cover the edges between new vertices and only "
             "new edges with a new endpoint"
@@ -98,11 +90,8 @@ def _validate_branch(inst: Instance, branch: BranchAssignment) -> None:
 def _old_crossing(inst: Instance, pages: Mapping[Edge, int]) -> bool:
     # new edges between old vertices, against the fixed edges and each other
     placed: dict[int, list[tuple[int, int]]] = {}
-    for e, ((a_new, a), (b_new, b)) in zip(inst.new_edges, inst.endpoints):
-        if a_new or b_new:
-            continue
+    for e, a, b in inst.kinds.spans:
         p = pages[e]
-        a, b = sorted((a, b))
         if p not in inst.lookup.pages_fitting(a, b) or any(
             alternates(x, y, a, b) for x, y in placed.get(p, ())
         ):
@@ -196,31 +185,29 @@ def _sweep_tables(
     fits = lookup.pages_fitting
     n = inst.n_add
     gaps = inst.gap_count
+    pages, depths = branch.pages, branch.depths
     oidx = {v: t + 1 for t, v in enumerate(branch.order)}
 
-    anchored: dict[Vertex, list[tuple]] = {v: [] for v in branch.order}
     linking: dict[Vertex, list[tuple[int, int]]] = {v: [] for v in branch.order}
     half: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for e, ((u_new, u), (v_new, v)) in zip(inst.new_edges, inst.endpoints):
-        p, d = branch.pages[e], branch.depths.get(e)
-        if u_new and v_new:
-            linking[u].append((p, d))
-            linking[v].append((p, d))
-            x, y = sorted((oidx[u], oidx[v]))
-            for j in range(x, y):
-                half[j].append((p, d))
-        elif u_new or v_new:
-            w, r2 = (u, v) if u_new else (v, u)
-            anchored[w].append((p, r2, d))
+    for e in inst.kinds.links:
+        u, v = e
+        pd = (pages[e], depths[e])
+        linking[u].append(pd)
+        linking[v].append(pd)
+        x, y = sorted((oidx[u], oidx[v]))
+        for j in range(x, y):
+            half[j].append(pd)
 
     place_ok = [[False] * (n + 1) for _ in range(gaps + 1)]
     for j in range(1, n + 1):
         v = branch.order[j - 1]
         s = sups[branch.supers[v]]
+        anchored = [(pages[e], r2, depths.get(e)) for e, r2 in inst.kinds.anchors[v]]
         for i in range(s.gap_lo, s.gap_hi + 1):
             place_ok[i][j] = all(
                 p in fits(2 * i - 1, r2) and d in (None, lookup.deepest(p, i))
-                for p, r2, d in anchored[v]
+                for p, r2, d in anchored
             ) and all(d == lookup.deepest(p, i) for p, d in linking[v])
 
     shift_ok = [[False] * (n + 1) for _ in range(gaps + 1)]
@@ -294,7 +281,7 @@ def _depth_domains(
 
     return [
         sorted(depths(pages[e], e[0]) & depths(pages[e], e[1]))
-        for e in _linking_edges(inst)
+        for e in inst.kinds.links
     ]
 
 
@@ -342,13 +329,7 @@ def _solve_branches(inst: Instance, stats: SolveStats) -> Optional[Layout]:
     sups = super_intervals(inst)
     lookup = inst.lookup
     fits = lookup.pages_fitting
-    linking = _linking_edges(inst)
-    # per new vertex: its edges to old vertices and their doubled positions
-    anchors: dict[Vertex, list[tuple[Edge, int]]] = {v: [] for v in inst.new_vertices}
-    for e, ((u_new, u), (v_new, v)) in zip(inst.new_edges, inst.endpoints):
-        if u_new != v_new:
-            w, r2 = (u, v) if u_new else (v, u)
-            anchors[w].append((e, r2))
+    _, anchors, linking = inst.kinds
     cells = 2 * inst.gap_count * (inst.n_add + 1)
 
     for pages, order, sup_tuple in _branch_loop(inst, stats):
@@ -385,8 +366,6 @@ def _solve_branches(inst: Instance, stats: SolveStats) -> Optional[Layout]:
             if len(placements) == len(order):
                 sol = _assemble_layout(inst, placements, pages)
         if sol is not None:
-            if not inst.is_solution(sol):
-                raise RuntimeError(f"{stats.algorithm} produced an invalid layout")
             return sol
     return None
 
@@ -410,21 +389,18 @@ def branch_of_solution(inst: Instance, sol: Layout) -> BranchAssignment:
     """The branch a given solution of the instance complies with."""
     pages = {e: sol.page_of[e] for e in inst.new_edges}
     order = tuple(sorted(inst.new_vertices, key=sol.rank_of))
-    old_ranks = sorted(sol.rank_of(w) for w in inst.h.vertex_set)
-    gap: dict[Vertex, int] = {}
-    for v in inst.new_vertices:
-        r = sol.rank_of(v)
-        gap[v] = sum(1 for x in old_ranks if x < r) + 1
+    old_ranks = sorted(sol.rank_of(w) for w in inst.layout_h.spine)
+    gap = {
+        v: bisect.bisect_left(old_ranks, sol.rank_of(v)) + 1 for v in inst.new_vertices
+    }
     sups = super_intervals(inst)
     supers = {
         v: next(s.index for s in sups if s.contains_gap(g)) for v, g in gap.items()
     }
-    lookup = inst.lookup
-    old = inst.h.vertex_set
-    depths = {}
-    for e in _deep_edges(inst):
-        w = e[0] if e[0] not in old else e[1]
-        depths[e] = lookup.deepest(pages[e], gap[w])
+    deepest = inst.lookup.deepest
+    _, anchors, linking = inst.kinds
+    depths = {e: deepest(pages[e], gap[w]) for w, es in anchors.items() for e, _ in es}
+    depths.update((e, deepest(pages[e], gap[e[0]])) for e in linking)
     return BranchAssignment(pages, order, supers, depths)
 
 
@@ -441,6 +417,6 @@ def solve_greedy_is(
     """
     stats = stats or SolveStats()
     stats.algorithm = "greedy-is"
-    if _linking_edges(inst):
+    if inst.kinds.links:
         raise InputError("first-fit solver needs pairwise non-adjacent new vertices")
     return _solve_branches(inst, stats)

@@ -5,10 +5,13 @@ assigns every edge to one of ``ell`` pages so that edges sharing a page
 can be drawn as arcs in a half-plane without crossings.  Two edges on the
 same page cross exactly when their endpoints alternate along the spine.
 
-An extension instance consists of a graph ``G``, a subgraph ``H`` and a
-valid layout of ``H``.  The question is whether the layout can be
+An extension instance consists of a graph ``G`` and a valid layout of a
+subgraph ``H``; the layout fixes ``H``, its vertices on the spine and
+its edges on pages.  The question is whether the layout can be
 completed to a valid layout of ``G`` that keeps every spine position and
-page choice made for ``H``.
+page choice made for ``H``.  Everything else about an instance (the page
+count, ``H`` as a graph, the new vertices and edges and the kind of each
+new edge) is derived from those two pieces, once, on first use.
 
 Conventions used throughout the package:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 Vertex = str
@@ -132,20 +135,20 @@ class Layout:
     def __post_init__(self) -> None:
         if self.ell < 1:
             raise InputError(f"page count must be positive, got {self.ell}")
+        on_spine = self.spine._rank  # type: ignore[attr-defined]
         fixed = {}
+        by_page: list[list[Edge]] = [[] for _ in range(self.ell + 1)]
         for e, p in self.page_of.items():
             e = edge(*e)
             if e in fixed:
                 raise InputError(f"multi-edge {e!r}")
             if not 1 <= p <= self.ell:
                 raise InputError(f"page {p} of edge {e!r} outside 1..{self.ell}")
-            if e[0] not in self.spine or e[1] not in self.spine:
+            if e[0] not in on_spine or e[1] not in on_spine:
                 raise InputError(f"edge {e!r} has an endpoint off the spine")
             fixed[e] = p
-        object.__setattr__(self, "page_of", MappingProxyType(fixed))
-        by_page: list[list[Edge]] = [[] for _ in range(self.ell + 1)]
-        for e, p in fixed.items():
             by_page[p].append(e)
+        object.__setattr__(self, "page_of", MappingProxyType(fixed))
         object.__setattr__(
             self, "_by_page", tuple(tuple(sorted(es)) for es in by_page)
         )
@@ -166,12 +169,15 @@ class Layout:
 def make_layout(
     spine: Iterable[Vertex], ell: int, assignments: Iterable[tuple[Vertex, Vertex, int]]
 ) -> Layout:
-    """Convenience constructor from ``(u, v, page)`` triples."""
-    return Layout(
-        SpineOrder(tuple(spine)),
-        ell,
-        {edge(u, v): p for u, v, p in assignments},
-    )
+    """Convenience constructor from ``(u, v, page)`` triples; an edge
+    given twice, in either direction, is a multi-edge."""
+    assignments = tuple(assignments)
+    # the dict merges a pair given twice; Layout rejects (u, v) beside (v, u)
+    page_of = {(u, v): p for u, v, p in assignments}
+    layout = Layout(SpineOrder(tuple(spine)), ell, page_of)
+    if len(layout.page_of) != len(assignments):
+        raise InputError("multi-edge in the page assignment")
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +200,10 @@ def alternates(a, b, c, d) -> bool:
 
 def _spans(layout: Layout, p: Page) -> list[tuple[int, int]]:
     # doubled ``(lo, hi)`` spans of page ``p``, in ``edges_on_page`` order
+    rank = layout.spine._rank  # type: ignore[attr-defined]
     out = []
     for u, v in layout.edges_on_page(p):
-        a, b = 2 * layout.rank_of(u), 2 * layout.rank_of(v)
+        a, b = 2 * rank[u], 2 * rank[v]
         out.append((a, b) if a < b else (b, a))
     return out
 
@@ -410,76 +417,77 @@ class FaceLookup:
 # extension instances
 
 
-@dataclass(frozen=True)
-class Instance:
-    """An extension instance: graph ``g``, subgraph ``h``, layout of ``h``.
+class EdgeKinds(NamedTuple):
+    """The new edges of an instance by kind, each in canonical edge order.
 
-    Construction validates the containment relations and that
-    ``layout_h`` is a valid layout of ``h``; derived views (new vertices,
-    new edges, affected old vertices) are precomputed in deterministic
-    order.
+    ``spans`` holds the edges between two old vertices as
+    ``(edge, a2, b2)``, the doubled spine positions of the ends with
+    ``a2 < b2``; ``anchors`` maps every new vertex to its edges to old
+    vertices as ``(edge, r2)``, ``r2`` the old end's doubled position;
+    ``links`` holds the edges between two new vertices.
     """
 
-    ell: int
+    spans: tuple[tuple[Edge, int, int], ...]
+    anchors: Mapping[Vertex, tuple[tuple[Edge, int], ...]]
+    links: tuple[Edge, ...]
+
+
+@dataclass(frozen=True)
+class Instance:
+    """An extension instance: graph ``g`` and a fixed layout of part of it.
+
+    ``layout_h`` fixes the subgraph H: its spine holds the old vertices
+    and its pages the fixed edges, so the page count and H are read from
+    it.  Construction checks that H lies in ``g`` and that the fixed
+    layout has no crossing.  Everything else (the new vertices and
+    edges, the new edges by kind, the index of the fixed layout) is
+    derived on first use, in deterministic order, and cached.
+    """
+
     g: Graph
-    h: Graph
     layout_h: Layout
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise InputError(f"page count must be positive, got {self.ell}")
-        if self.layout_h.ell != self.ell:
-            raise InputError(
-                f"layout has {self.layout_h.ell} pages, instance has {self.ell}"
-            )
-        if not self.h.vertex_set <= self.g.vertex_set:
-            extra = sorted(self.h.vertex_set - self.g.vertex_set)
-            raise InputError(f"subgraph vertices {extra} missing from the graph")
-        if not self.h.edge_set <= self.g.edge_set:
-            extra = sorted(self.h.edge_set - self.g.edge_set)
-            raise InputError(f"subgraph edges {extra} missing from the graph")
-        if set(self.layout_h.spine.order) != set(self.h.vertices):
-            raise InputError("layout spine does not order the subgraph vertices")
-        if set(self.layout_h.page_of) != self.h.edge_set:
-            raise InputError("layout pages do not cover the subgraph edges")
-        conflict = find_crossing(self.layout_h)
+        lay, g = self.layout_h, self.g
+        extra = [v for v in lay.spine if v not in g.vertex_set]
+        extra += sorted(lay.page_of.keys() - g.edge_set)
+        if extra:
+            raise InputError(f"fixed vertices and edges {extra} missing from the graph")
+        conflict = find_crossing(lay)
         if conflict is not None:
             e1, e2, p = conflict
             raise InputError(f"given layout is invalid: {e1} crosses {e2} on page {p}")
 
-        new_vs = tuple(v for v in self.g.vertices if v not in self.h.vertex_set)
-        new_es = tuple(sorted(self.g.edge_set - self.h.edge_set))
-        old = self.h.vertex_set
-        new_old = tuple(e for e in new_es if e[0] in old and e[1] in old)
-        inc = {w for e in new_es for w in e if w in old}
-        object.__setattr__(self, "_new_vertices", new_vs)
-        object.__setattr__(self, "_new_edges", new_es)
-        object.__setattr__(self, "_new_old_edges", new_old)
-        object.__setattr__(
-            self,
-            "_incident_old",
-            tuple(sorted(inc, key=self.layout_h.rank_of)),
-        )
-
     @property
+    def ell(self) -> int:
+        return self.layout_h.ell
+
+    @cached_property
+    def h(self) -> Graph:
+        """The fixed subgraph as a :class:`Graph`, built on first use."""
+        return Graph(self.layout_h.spine.order, self.layout_h.edges)
+
+    @cached_property
     def new_vertices(self) -> tuple[Vertex, ...]:
         """Vertices of G missing from H, in G's vertex order."""
-        return self._new_vertices  # type: ignore[attr-defined]
+        return tuple(v for v in self.g.vertices if v not in self.layout_h.spine)
 
-    @property
+    @cached_property
     def new_edges(self) -> tuple[Edge, ...]:
         """Edges of G missing from H, sorted."""
-        return self._new_edges  # type: ignore[attr-defined]
+        return tuple(e for e in self.g.edges if e not in self.layout_h.page_of)
 
-    @property
+    @cached_property
     def new_old_edges(self) -> tuple[Edge, ...]:
         """New edges whose both endpoints already lie on the spine."""
-        return self._new_old_edges  # type: ignore[attr-defined]
+        return tuple(e for e, _, _ in self.kinds.spans)
 
-    @property
+    @cached_property
     def incident_old(self) -> tuple[Vertex, ...]:
         """Old vertices touched by a new edge, in spine order."""
-        return self._incident_old  # type: ignore[attr-defined]
+        spine = self.layout_h.spine
+        inc = {w for e in self.new_edges for w in e if w in spine}
+        return tuple(sorted(inc, key=spine.rank_of))
 
     @property
     def n_add(self) -> int:
@@ -522,12 +530,29 @@ class Instance:
         """Both endpoints of every new edge, in ``new_edges`` order, built
         on first use.  Each endpoint is ``(is_new, where)``: an old vertex
         by its doubled spine position, a new vertex by itself."""
-        old = self.h.vertex_set
-        rank = self.layout_h.rank_of
+        rank = self.layout_h.spine._rank  # type: ignore[attr-defined]
         return tuple(
-            tuple((False, 2 * rank(w)) if w in old else (True, w) for w in e)
+            tuple((False, 2 * rank[w]) if w in rank else (True, w) for w in e)
             for e in self.new_edges
         )
+
+    @cached_property
+    def kinds(self) -> EdgeKinds:
+        """The new edges by kind (see :class:`EdgeKinds`), sorted in one
+        pass over the endpoint table on first use.  Solvers read an
+        edge's kind here instead of deriving it again."""
+        spans, links = [], []
+        anchors: dict[Vertex, list] = {v: [] for v in self.new_vertices}
+        for e, ((u_new, u), (v_new, v)) in zip(self.new_edges, self.endpoints):
+            if u_new and v_new:
+                links.append(e)
+            elif u_new or v_new:
+                w, r2 = (u, v) if u_new else (v, u)
+                anchors[w].append((e, r2))
+            else:
+                spans.append((e, min(u, v), max(u, v)))
+        frozen = MappingProxyType({v: tuple(es) for v, es in anchors.items()})
+        return EdgeKinds(tuple(spans), frozen, tuple(links))
 
     def is_solution(self, layout: Layout) -> bool:
         return is_valid(self.g, layout) and extends(layout, self.layout_h)
@@ -540,20 +565,17 @@ def make_instance(
     new_vertices: Iterable[Vertex] = (),
     new_edges: Iterable[tuple[Vertex, Vertex]] = (),
 ) -> Instance:
-    """Assemble an :class:`Instance` from plain pieces."""
+    """Assemble an :class:`Instance` from plain pieces.
+
+    Builds the fixed layout with :func:`make_layout`, which checks the
+    fixed edges, and one :class:`Graph` for G, which checks the new
+    vertices and edges against the old ones; every defect raises
+    :class:`InputError`.
+    """
     spine = tuple(spine)
-    h_edges = tuple(h_edges)
-    new_vertices = tuple(new_vertices)
-    new_edges = tuple(edge(u, v) for u, v in new_edges)
-    h = Graph(spine, tuple(edge(u, v) for u, v, _ in h_edges))
-    g = Graph(spine + new_vertices, tuple(sorted(set(h.edges) | set(new_edges))))
-    if len(set(new_edges)) != len(new_edges):
-        raise InputError("duplicate new edge")
-    for e in new_edges:
-        if e in h.edge_set:
-            raise InputError(f"new edge {e!r} already present in the subgraph")
     layout = make_layout(spine, ell, h_edges)
-    return Instance(ell, g, h, layout)
+    g = Graph(spine + tuple(new_vertices), (*layout.page_of, *new_edges))
+    return Instance(g, layout)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,10 @@ from .model import (
     InputError,
     Instance,
     Layout,
-    SpineOrder,
     Vertex,
     edge,
     make_instance,
+    make_layout,
 )
 
 
@@ -162,11 +162,7 @@ def parse_solution(text: str) -> RawSolution:
 
 def as_layout(sol: RawSolution, ell: int) -> Layout:
     """Strict :class:`Layout` from a raw solution; raises on defects."""
-    return Layout(
-        SpineOrder(sol.spine),
-        ell,
-        {edge(u, v): p for u, v, p in sol.pages},
-    )
+    return make_layout(sol.spine, ell, sol.pages)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ def choose_algorithm(inst: Instance) -> str:
         return "edges-fpt"
     if inst.n_add == 1 and not inst.new_old_edges:
         return "one-vertex"
-    old = inst.h.vertex_set
-    if all(u in old or v in old for u, v in inst.new_edges):
+    if not inst.kinds.links:
         return "greedy-is"
     return "dp-fpt"
 

@@ -42,12 +42,20 @@ class SolveStats:
 
 def _assemble_layout(inst: Instance, placements, pages) -> Layout:
     """The fixed layout with new vertices inserted at ``(gap, vertex)``
-    placements and new edges added on the given pages."""
+    placements and new edges added on the given pages.
+
+    Every solver but the oracle builds its answer here, so this is where
+    an answer is checked: a layout that is not a solution of the
+    instance raises ``RuntimeError`` instead of being returned.
+    """
     layout = inst.layout_h
     spine = assemble_spine(layout.spine.order, placements)
     full = dict(layout.page_of)
     full.update(pages)
-    return Layout(SpineOrder(spine), inst.ell, full)
+    sol = Layout(SpineOrder(spine), inst.ell, full)
+    if not inst.is_solution(sol):
+        raise RuntimeError("solver produced an invalid layout")
+    return sol
 
 
 def candidate_pages(inst: Instance, e: Edge) -> frozenset[int]:
@@ -97,9 +105,8 @@ def reduce_safe_edges(inst: Instance) -> tuple[Instance, tuple[Edge, ...]]:
     remaining, removed = _removal_order(inst.new_edges, fits)
     if not removed:
         return inst, ()
-    kept = set(inst.h.edges) | set(remaining)
-    g = Graph(inst.g.vertices, tuple(sorted(kept)))
-    return Instance(inst.ell, g, inst.h, inst.layout_h), tuple(removed)
+    g = Graph(inst.g.vertices, (*inst.layout_h.page_of, *remaining))
+    return Instance(g, inst.layout_h), tuple(removed)
 
 
 def _assign_with_fits(new_pairs, fits) -> Optional[list[int]]:
@@ -177,11 +184,11 @@ def solve_one_vertex(inst: Instance) -> Optional[Layout]:
         )
     (v,) = inst.new_vertices
     fits = inst.lookup.pages_fitting
-    old_ends = [r2 for ends in inst.endpoints for new, r2 in ends if not new]
+    anchors = inst.kinds.anchors[v]
     for g in range(1, inst.gap_count + 1):
-        options = [fits(2 * g - 1, r2) for r2 in old_ends]
+        options = [fits(2 * g - 1, r2) for _, r2 in anchors]
         if all(options):
-            pages = zip(inst.new_edges, map(min, options))
+            pages = [(e, min(opts)) for (e, _), opts in zip(anchors, options)]
             return _assemble_layout(inst, [(g, v)], pages)
     return None
 
@@ -205,9 +212,8 @@ def feasible_gaps(inst: Instance) -> dict[Vertex, frozenset[int]]:
     gaps = range(1, inst.gap_count + 1)
     out = {v: frozenset(gaps) for v in inst.new_vertices}
     seen: dict[int, frozenset[int]] = {}  # gaps seeing an old doubled position
-    for (u_new, u), (v_new, v) in inst.endpoints:
-        if u_new != v_new:
-            w, r2 = (u, v) if u_new else (v, u)
+    for w, anchors in inst.kinds.anchors.items():
+        for _, r2 in anchors:
             if r2 not in seen:
                 seen[r2] = frozenset(g for g in gaps if fits(2 * g - 1, r2))
             out[w] &= seen[r2]

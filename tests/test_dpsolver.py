@@ -21,7 +21,6 @@ from stackext import (
     solve_greedy_is,
     super_intervals,
 )
-from stackext.dpsolver import _deep_edges
 
 from reference_impl import (
     branch_brute_force,
@@ -31,6 +30,12 @@ from reference_impl import (
     reference_implied_crossing,
     small_dp_corpus,
 )
+
+
+def _deep_edges(inst):
+    # new edges with at least one new endpoint, canonical order
+    old = inst.h.vertex_set
+    return [e for e in inst.new_edges if not set(e) <= old]
 
 
 def test_table_base_states():

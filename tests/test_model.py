@@ -1,10 +1,12 @@
 """Core data model: layouts, crossings, faces, instances."""
 
 import itertools
+import json
 import pathlib
 import re
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import stackext
@@ -13,6 +15,7 @@ from stackext import (
     FaceLookup,
     Graph,
     InputError,
+    Instance,
     Layout,
     SpineOrder,
     edge,
@@ -26,6 +29,7 @@ from stackext import (
     page_width,
     super_intervals,
 )
+from stackext.cli import main
 from stackext.model import alternates
 
 from reference_impl import _clashes
@@ -416,8 +420,74 @@ def test_instance_views():
     assert inst.new_edges == (("a", "x"), ("b", "c"), ("x", "y"))
     assert inst.new_old_edges == (("b", "c"),)
     assert inst.incident_old == ("a", "b", "c")
+    assert inst.kinds.spans == ((("b", "c"), 4, 6),)
+    assert inst.kinds.anchors == {"x": ((("a", "x"), 2),), "y": ()}
+    assert inst.kinds.links == (("x", "y"),)
     assert inst.n_add == 2 and inst.m_add == 3 and inst.kappa == 5
     assert inst.gap_count == 4
+
+
+# make_instance arguments (ell, spine, fixed edges, new vertices, new
+# edges) that are each malformed in exactly one way
+BAD_INSTANCES = {
+    "duplicate-fixed-edge": (2, "abc", [("a", "b", 1), ("a", "b", 1)], [], []),
+    "duplicate-fixed-edge-reversed": (
+        2, "abc", [("a", "b", 1), ("b", "a", 2)], [], []
+    ),
+    "fixed-edge-off-spine": (2, "ab", [("a", "z", 1)], [], []),
+    "page-0": (2, "ab", [("a", "b", 0)], [], []),
+    "page-ell-plus-1": (2, "ab", [("a", "b", 3)], [], []),
+    "fixed-self-loop": (2, "ab", [("a", "a", 1)], [], []),
+    "new-self-loop": (2, "ab", [], ["x"], [("x", "x")]),
+    "duplicate-spine-vertex": (2, "aba", [], [], []),
+    "new-vertex-is-old": (2, "ab", [], ["a"], []),
+    "duplicate-new-vertex": (2, "ab", [], ["x", "x"], []),
+    "duplicate-new-edge": (2, "ab", [], ["x"], [("a", "x"), ("x", "a")]),
+    "new-edge-is-fixed": (2, "ab", [("a", "b", 1)], [], [("b", "a")]),
+    "new-edge-unknown-end": (2, "ab", [], ["x"], [("a", "y")]),
+    "crossing-fixed-layout": (1, "abcd", [("a", "c", 1), ("b", "d", 1)], [], []),
+    "ell-0": (0, "ab", [], [], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_make_instance_rejects_malformed_pieces(case):
+    ell, spine, fixed, news, new_edges = BAD_INSTANCES[case]
+    with pytest.raises(InputError):
+        make_instance(ell, spine, fixed, news, new_edges)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_solve_rejects_malformed_instance_file(case, tmp_path):
+    ell, spine, fixed, news, new_edges = BAD_INSTANCES[case]
+    doc = {
+        "ell": ell,
+        "H": {
+            "spine": list(spine),
+            "edges": [{"u": u, "v": v, "page": p} for u, v, p in fixed],
+        },
+        "new_vertices": news,
+        "new_edges": [{"u": u, "v": v} for u, v in new_edges],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    got = CliRunner().invoke(main, ["solve", str(path)])
+    assert got.exit_code == 2, got.output
+    lines = got.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), got.output
+
+
+def test_instance_is_its_graph_and_fixed_layout():
+    layout = make_layout("abc", 2, [("a", "c", 2)])
+    inst = Instance(Graph(("a", "b", "c", "x"), (("a", "c"), ("b", "x"))), layout)
+    assert inst.ell == 2
+    assert inst.h.vertices == ("a", "b", "c") and inst.h.edges == (("a", "c"),)
+    assert inst.new_vertices == ("x",) and inst.new_edges == (("b", "x"),)
+    assert inst.kinds.anchors == {"x": ((("b", "x"), 4),)}
+    with pytest.raises(InputError):
+        Instance(Graph(("a", "c"), (("a", "c"),)), layout)
+    with pytest.raises(InputError):
+        Instance(Graph(("a", "b", "c"), ()), layout)
 
 
 def test_instance_rejects_new_edge_already_fixed():

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from stackext import (
+    FaceLookup,
     InputError,
     SolveStats,
     candidate_pages,
@@ -186,3 +187,21 @@ def test_long_nested_core_solves_without_recursion(algo):
     sol = solve(inst, algo)
     assert sol is not None
     assert verify_solution(inst, sol) == ()
+
+
+@pytest.mark.parametrize(
+    "algo", ["xp", "one-vertex", "greedy-is", "dp-fpt", "edges-fpt"]
+)
+def test_solvers_refuse_to_return_an_invalid_layout(algo, monkeypatch):
+    # with visibility faked to allow every page, each solver picks a
+    # placement or page that crosses the fixed edge (a, c); the check in
+    # the shared layout assembler must catch it
+    if algo == "edges-fpt":
+        inst = make_instance(1, "abcd", [("a", "c", 1)], [], [("b", "d")])
+    else:
+        inst = make_instance(1, "abc", [("a", "c", 1)], ["x"], [("x", "b")])
+        assert solve(inst, algo) is not None
+    every_page = frozenset(range(1, inst.ell + 1))
+    monkeypatch.setattr(FaceLookup, "pages_fitting", lambda self, a, b: every_page)
+    with pytest.raises(RuntimeError, match="invalid layout"):
+        solve(inst, algo)
