@@ -109,6 +109,8 @@ def cmd_solve(instance, algo, out, cap, emit_branch_stats) -> None:
     if emit_branch_stats:
         click.echo(f"algorithm: {stats.algorithm}", err=True)
         click.echo(f"branches: {stats.branches}", err=True)
+        if stats.refuted:
+            click.echo(f"refuted: {stats.refuted}", err=True)
         if stats.cells:
             click.echo(f"table cells: {stats.cells}", err=True)
         bound = branch_bound(inst, stats.algorithm)

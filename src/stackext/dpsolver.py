@@ -2,8 +2,12 @@
 
 One loop serves ``solve_fpt`` and ``solve_greedy_is``.  It guesses,
 per branch, the page of every new edge, the spine order of the new
-vertices and the super interval each lands in.  A consistent branch is
-settled by a left-to-right pass over the gaps of the fixed spine.
+vertices and the super interval each lands in.  Unary facts come first:
+a new edge or vertex that fits nowhere refutes the instance before any
+branching, and page guesses are checked as they are made, so a branch
+is only completed when every new vertex still has a gap to go to.  A
+consistent branch is settled by a left-to-right pass over the gaps of
+the fixed spine.
 Without edges between two new vertices, whether a gap admits a vertex
 depends on that vertex alone, so a first-fit scan settles the branch.
 Otherwise each edge between two new vertices also gets a guessed
@@ -285,54 +289,194 @@ def _depth_domains(
     ]
 
 
-def _branch_loop(inst: Instance, stats: SolveStats):
+def _presolve(inst: Instance) -> tuple[str, dict[Vertex, int]]:
+    """Unary refutation before any branching.
+
+    Returns the reason, ``""`` when there is none, and per new vertex the
+    first gap that sees each of its old neighbours on some page; no gap
+    left of it is admissible under any pages.  ``"blocked-edge"``: a new
+    edge between old vertices fits on no page.  ``"blocked-vertex"``: a
+    new vertex has no such gap.  Either fact holds in every branch.
+    Each vertex's scan stops at its first such gap, so an extendable
+    instance pays little.
+    """
+    fits = inst.lookup.pages_fitting
+    first: dict[Vertex, int] = {}
+    if any(not fits(a, b) for _, a, b in inst.kinds.spans):
+        return "blocked-edge", first
+    for v, anchors in inst.kinds.anchors.items():
+        g = 1
+        while g <= inst.gap_count and not all(
+            fits(2 * g - 1, r2) for _, r2 in anchors
+        ):
+            g += 1
+        if g > inst.gap_count:
+            return "blocked-vertex", first
+        first[v] = g
+    return "", first
+
+
+def _branch_loop(inst: Instance, stats: SolveStats, first: Mapping[Vertex, int]):
     """Shared outer enumeration: pages, then order, then super intervals.
 
-    Yields ``(pages, order, sup_tuple)`` for combos passing the branch
-    consistency checks.  Super intervals are enumerated non-decreasing
-    along the order, so no order-super conflict is ever generated.
-    ``stats.branches`` counts each rejection once: a page assignment
-    failing on the new edges between old vertices counts 1 for all its
-    order and super combos, an implied crossing 1 per combo.
+    Pages are assigned depth-first over the canonical new edge order,
+    with an explicit stack, and checked forward.  A new edge between old
+    vertices is checked as soon as it has its page: it must fit against
+    the fixed edges (``pages_fitting``) and not alternate with an earlier
+    such edge on that page.  Once the last edge from a new vertex to an
+    old vertex has its page, the vertex needs an admissible super
+    interval, one holding a gap that sees each old neighbour on its
+    edge's page; a prefix leaving a vertex none is cut.  At a full page
+    assignment, orders are enumerated lexicographically and, per order,
+    the super tuples non-decreasing along it (lexicographic) over
+    admissible intervals only.  Admissibility is tested lazily, from
+    the vertex's gap ``first[v]`` of ``_presolve`` on, and memoised per
+    solve on the vertex, the pages of its edges to old vertices and the
+    interval.
+
+    Yields ``(pages, order, sup_tuple, starts)`` for combos without an
+    implied crossing, ``starts[t]`` the first admissible gap of
+    ``order[t]`` in its interval.  The skipped combos are exactly those
+    that no first-fit or sweep could settle (each vertex needs an
+    admissible gap in its interval), and the rest keep their order, so
+    the first combo that settles does not change.  ``stats.branches``
+    counts each rejection once: a page prefix cut by an edge between old
+    vertices or by a vertex without admissible interval counts 1 for all
+    the combos below it, an implied crossing 1 per combo.
     """
-    count = len(super_intervals(inst))
-    news = inst.new_vertices
-    for pages_tuple in itertools.product(range(1, inst.ell + 1), repeat=inst.m_add):
-        pages = dict(zip(inst.new_edges, pages_tuple))
-        if _old_crossing(inst, pages):
-            stats.branches += 1
-            continue
-        for order in itertools.permutations(news):
-            for sup_tuple in itertools.combinations_with_replacement(
-                range(count), len(news)
-            ):
-                if _implied_crossing(inst, pages, order, sup_tuple):
-                    stats.branches += 1
+    sups = super_intervals(inst)
+    count = len(sups)
+    fits = inst.lookup.pages_fitting
+    edges, news, ell = inst.new_edges, inst.new_vertices, inst.ell
+    m, n = len(edges), len(news)
+    at = {e: k for k, e in enumerate(edges)}
+    span_at: list = [None] * m
+    for e, a, b in inst.kinds.spans:
+        span_at[at[e]] = (a, b)
+    # per vertex: the indices and old ends of its edges to old vertices;
+    # the vertex is checked when the last of them gets its page
+    ends = {
+        v: ([at[e] for e, _ in es], [r2 for _, r2 in es])
+        for v, es in inst.kinds.anchors.items()
+    }
+    last = {idx[-1]: v for v, (idx, _) in ends.items() if idx}
+    memo: dict = {}
+    # per vertex: per interval its first admissible gap, 0 for none and
+    # None while untested, and the (page, old end) pairs it is tested for
+    current = {v: ([None] * count, []) for v in news}
+
+    def start(v: Vertex, s: int) -> int:
+        status, want = current[v]
+        gap = status[s]
+        if gap is None:
+            gap = 0
+            for g in range(max(sups[s].gap_lo, first[v]), sups[s].gap_hi + 1):
+                x = 2 * g - 1
+                for p, r2 in want:
+                    if p not in fits(x, r2):
+                        break
+                else:
+                    gap = g
+                    break
+            status[s] = gap
+        return gap
+
+    pages = [0] * m
+    placed: dict[int, list] = {p: [] for p in range(1, ell + 1)}
+    on = [False] * m  # edge k's span sits in ``placed``
+    k = 0
+    while k >= 0:
+        if k == m:
+            k -= 1
+            pmap = dict(zip(edges, pages))
+            for order in itertools.permutations(news):
+                if not n:
+                    yield pmap, order, (), ()
                     continue
-                yield pages, order, sup_tuple
+                sup = [0] * n
+                t = s = 0
+                while True:
+                    while s < count and not start(order[t], s):
+                        s += 1
+                    if s == count:
+                        if t == 0:
+                            break
+                        t -= 1
+                        s = sup[t] + 1
+                    elif t + 1 < n:
+                        sup[t] = s
+                        t += 1
+                    else:
+                        sup[t] = s
+                        tup = tuple(sup)
+                        if _implied_crossing(inst, pmap, order, tup):
+                            stats.branches += 1
+                        else:
+                            yield pmap, order, tup, [
+                                start(v, x) for v, x in zip(order, tup)
+                            ]
+                        s += 1
+            continue
+        p = pages[k]
+        if on[k]:
+            placed[p].pop()
+            on[k] = False
+        if p == ell:
+            pages[k] = 0
+            k -= 1
+            continue
+        p = pages[k] = p + 1
+        span = span_at[k]
+        if span is not None:
+            a, b = span
+            if p not in fits(a, b) or any(
+                alternates(x, y, a, b) for x, y in placed[p]
+            ):
+                stats.branches += 1
+                continue
+            placed[p].append(span)
+            on[k] = True
+        elif k in last:
+            v = last[k]
+            idx, r2s = ends[v]
+            key = (v, tuple(pages[i] for i in idx))
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = ([None] * count, list(zip(key[1], r2s)))
+            current[v] = entry
+            if not any(start(v, s) for s in range(count)):
+                stats.branches += 1
+                continue
+        k += 1
 
 
 def _solve_branches(inst: Instance, stats: SolveStats) -> Optional[Layout]:
-    """The FPT loop: settle every branch of ``_branch_loop`` in turn.
+    """The FPT loop: refute by unary facts, else settle every branch of
+    ``_branch_loop`` in turn.
 
-    Without edges between two new vertices, a first-fit scan settles a
-    branch: each vertex, in order, goes to the first gap of its super
-    interval, at or after the previous vertex, that sees all its old
-    neighbours on the branch pages.  Admissibility is then a property
-    of one vertex and one gap, so first-fit never discards a realisable
-    branch.  Otherwise the edges between new vertices get depths from
-    their pruned domains (lexicographic), and each depth combo runs the
-    gap sweep.  ``stats.branches`` counts the rejections of
-    ``_branch_loop``, then per surviving branch 1 for a first-fit or an
-    empty depth domain, else 1 per depth combo swept.
+    ``_presolve`` runs first; when it refutes, ``stats.refuted`` names
+    the reason and no branch is counted.  Without edges between two new
+    vertices, a first-fit scan settles a branch: each vertex, in order,
+    goes to the first gap of its super interval, at or after the
+    previous vertex, that sees all its old neighbours on the branch
+    pages.  Admissibility is then a property of one vertex and one gap,
+    so first-fit never discards a realisable branch.  Otherwise the
+    edges between new vertices get depths from their pruned domains
+    (lexicographic), and each depth combo runs the gap sweep.
+    ``stats.branches`` counts the rejections of ``_branch_loop`` (a page
+    prefix it cuts counts once), then per surviving branch 1 for a
+    first-fit or an empty depth domain, else 1 per depth combo swept.
     """
+    stats.refuted, first = _presolve(inst)
+    if stats.refuted:
+        return None
     sups = super_intervals(inst)
     lookup = inst.lookup
     fits = lookup.pages_fitting
     _, anchors, linking = inst.kinds
     cells = 2 * inst.gap_count * (inst.n_add + 1)
 
-    for pages, order, sup_tuple in _branch_loop(inst, stats):
+    for pages, order, sup_tuple, starts in _branch_loop(inst, stats, first):
         sol = None
         if linking:
             supmap = dict(zip(order, sup_tuple))
@@ -352,10 +496,10 @@ def _solve_branches(inst: Instance, stats: SolveStats) -> Optional[Layout]:
             stats.branches += 1
             ptr = 1
             placements: list[tuple[int, Vertex]] = []
-            for v, si in zip(order, sup_tuple):
+            for v, si, lo in zip(order, sup_tuple, starts):
                 s = sups[si]
                 want = [(pages[e], r2) for e, r2 in anchors[v]]
-                ptr = max(ptr, s.gap_lo)
+                ptr = max(ptr, lo)
                 while ptr <= s.gap_hi and not all(
                     p in fits(2 * ptr - 1, r2) for p, r2 in want
                 ):

@@ -63,11 +63,10 @@ def gen_random(
             )
     news = [f"n{i}" for i in range(1, n_add + 1)]
     everyone = spine + news
-    candidates = sorted(
-        e
-        for e in (edge(u, v) for u, v in itertools.combinations(everyone, 2))
-        if e not in chosen
-    )
+    # pairs of a sorted list come out normalized and in sorted order
+    candidates = [
+        e for e in itertools.combinations(sorted(everyone), 2) if e not in chosen
+    ]
     if m_add > len(candidates):
         raise InputError(
             f"asked for {m_add} new edges but only {len(candidates)} pairs remain"

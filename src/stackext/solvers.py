@@ -33,11 +33,17 @@ from .oracle import assemble_spine
 
 @dataclass
 class SolveStats:
-    """Mutable counter bag a solver fills when handed in."""
+    """Mutable counter bag a solver fills when handed in.
+
+    ``refuted`` names the unary fact that settled a no-instance before
+    any branching (``"blocked-edge"`` or ``"blocked-vertex"``), and is
+    empty otherwise.
+    """
 
     branches: int = 0
     cells: int = 0
     algorithm: str = ""
+    refuted: str = ""
 
 
 def _assemble_layout(inst: Instance, placements, pages) -> Layout:

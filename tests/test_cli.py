@@ -94,6 +94,25 @@ def test_solve_emits_branch_stats(runner, tmp_path):
     assert "branch ceiling:" in got.output
 
 
+def test_solve_names_a_presolve_refutation(runner, tmp_path):
+    # x sees b only from under the fixed (a, c) and d only from outside it
+    blocked = make_instance(
+        1, ["a", "b", "c", "d"], [("a", "c", 1)], ["x", "y"],
+        [("x", "b"), ("x", "d"), ("y", "a")],
+    )
+    path = _write_instance(tmp_path / "blocked.json", blocked)
+    got = runner.invoke(main, ["solve", path, "--emit-branch-stats"])
+    assert got.exit_code == 1
+    assert "algorithm: greedy-is" in got.output
+    assert "branches: 0" in got.output
+    assert "refuted: blocked-vertex" in got.output
+    _, path = _solvable(tmp_path)
+    got = runner.invoke(main, ["solve", path, "--algo", "dp-fpt",
+                               "--emit-branch-stats"])
+    assert got.exit_code == 0
+    assert "refuted:" not in got.output
+
+
 def test_solve_capacity_exit(runner, tmp_path):
     inst = gen_random(5, 3, 2, 2, 2, seed=0)
     path = _write_instance(tmp_path / "big.json", inst)

@@ -17,6 +17,7 @@ from stackext import (
     edge,
     make_instance,
     page_width,
+    solve_exhaustive,
     solve_fpt,
     solve_greedy_is,
     super_intervals,
@@ -271,3 +272,30 @@ def test_greedy_rejects_adjacent_new_vertices():
     inst = make_instance(1, ["a"], [], ["x", "y"], [("x", "y")])
     with pytest.raises(InputError):
         solve_greedy_is(inst)
+
+
+def test_presolve_refutes_blocked_edges_and_vertices_before_branching():
+    # (b, d) alternates with the fixed (a, c) on the only page; x sees b
+    # only from under (a, c) and d only from outside it
+    spine, fixed = ["a", "b", "c", "d"], [("a", "c", 1)]
+    blocked_edge = make_instance(1, spine, fixed, ["x"], [("b", "d"), ("x", "a")])
+    blocked_vertex = make_instance(
+        1, spine, fixed, ["x", "y"], [("x", "b"), ("x", "d"), ("y", "a")]
+    )
+    linked = make_instance(
+        1, spine, fixed, ["x", "y"], [("x", "b"), ("x", "d"), ("x", "y")]
+    )
+    cases = [
+        (blocked_edge, "blocked-edge", (solve_greedy_is, solve_fpt)),
+        (blocked_vertex, "blocked-vertex", (solve_greedy_is, solve_fpt)),
+        (linked, "blocked-vertex", (solve_fpt,)),
+    ]
+    for inst, reason, solvers in cases:
+        assert solve_exhaustive(inst) is None
+        for solver in solvers:
+            stats = SolveStats()
+            assert solver(inst, stats) is None
+            assert (stats.refuted, stats.branches) == (reason, 0)
+    stats = SolveStats()
+    assert solve_fpt(make_instance(1, spine, fixed, ["x"], [("x", "b")]), stats)
+    assert stats.refuted == ""

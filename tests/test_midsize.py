@@ -10,7 +10,15 @@ run ``dp-fpt``'s gap sweep rather than its first-fit case.
 
 import pytest
 
-from stackext import InputError, page_width, solve, solve_exhaustive, verify_solution
+from stackext import (
+    InputError,
+    SolveStats,
+    gen_random,
+    page_width,
+    solve,
+    solve_exhaustive,
+    verify_solution,
+)
 
 from reference_impl import planted_instance
 
@@ -75,3 +83,41 @@ def test_xp_and_dp_agree_with_the_oracle_across_new_vertex_edges():
             if sol is not None:
                 assert verify_solution(inst, sol) == ()
     assert not all(verdicts) and any(verdicts)
+
+
+def _grid():
+    # 16 planted draws with 20-111 fixed vertices and up to 12 new edges,
+    # then 4 random ones with 80 fixed vertices, 4 new vertices and 8 new
+    # edges; no draw joins two new vertices, so ``auto`` runs greedy-is
+    out = [
+        planted_instance(
+            41_000 + k,
+            20 + 13 * (k % 8),
+            2 + k % 2,
+            2 + k % 3,
+            5 + (3 * k) % 8,
+            extra=k % 4 == 3,
+        )
+        for k in range(16)
+    ]
+    out += [
+        gen_random(nh=80, mh=120, ell=3, n_add=4, m_add=8, seed=500 + k)
+        for k in range(4)
+    ]
+    return out
+
+
+def test_grid_verdicts_with_bounded_counted_work():
+    # every no-instance of the grid has a new edge between old vertices
+    # that fits on no page; the yes-instances need at most 94 branches,
+    # where walking the whole page product took up to 237 616
+    refuted = {7, 11, 15, 16, 17, 18, 19}
+    for k, inst in enumerate(_grid()):
+        stats = SolveStats()
+        sol = solve(inst, "auto", stats)
+        assert stats.algorithm == "greedy-is"
+        assert (sol is None) == (k in refuted), k
+        assert stats.refuted == ("blocked-edge" if k in refuted else ""), k
+        if sol is not None:
+            assert verify_solution(inst, sol) == ()
+        assert stats.branches <= 200, (k, stats.branches)

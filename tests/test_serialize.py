@@ -21,7 +21,7 @@ from stackext import (
     solve_exhaustive,
     verify_solution,
 )
-from stackext.serialize import _nested, as_layout, instance_from_doc
+from stackext.serialize import _nested, as_layout, canonical, instance_from_doc
 
 from reference_impl import _clashes, random_corpus, reference_verify_solution
 
@@ -70,6 +70,67 @@ def test_emitted_files_are_canonical():
     # fixed edges ordered by endpoint ranks
     pairs = [(e["u"], e["v"]) for e in doc["H"]["edges"]]
     assert pairs == [("a", "c"), ("b", "d")]
+
+
+# names with quotes, backslashes, control characters and non-ASCII text
+_NAME = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\u2028\ud800😀ab') | st.characters()
+)
+_NAMES = st.lists(_NAME, max_size=4)
+_ROW = st.fixed_dictionaries(
+    {"page": st.integers(-3, 10**20), "u": _NAME, "v": _NAME}
+)
+_SOLUTION_DOC = st.fixed_dictionaries(
+    {"pages": st.lists(_ROW, max_size=4), "spine": _NAMES}
+)
+_INSTANCE_DOC = st.fixed_dictionaries(
+    {
+        "H": st.fixed_dictionaries(
+            {"edges": st.lists(_ROW, max_size=3), "spine": _NAMES}
+        ),
+        "ell": st.integers(-3, 10**20),
+        "new_edges": st.lists(
+            st.fixed_dictionaries({"u": _NAME, "v": _NAME}), max_size=3
+        ),
+        "new_vertices": _NAMES,
+    }
+)
+_ODD = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _NAME,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.tuples(kids)
+    | st.dictionaries(_NAME, kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _documents(draw):
+    # an instance or solution document, in half the cases with one value
+    # somewhere in it (a field, a row, a name) swapped for another type
+    doc = draw(_INSTANCE_DOC | _SOLUTION_DOC)
+    if draw(st.booleans()):
+        holder = doc
+        while True:
+            keys = list(holder) if isinstance(holder, dict) else range(len(holder))
+            key = draw(st.sampled_from(keys))
+            inner = holder[key]
+            if not (isinstance(inner, (dict, list)) and inner) or draw(st.booleans()):
+                holder[key] = draw(_ODD)
+                break
+            holder = inner
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+@example({"pages": [], "spine": []})
+@example({"pages": [{"page": True, "u": "a", "v": "b"}], "spine": ["a", "b"]})
+@example({"pages": [{"page": 1, "u": "a", "v": "b", "w": 0}], "spine": []})
+@example({"pages": ("ab",), "spine": "ab"})
+def test_canonical_matches_indented_json(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert canonical(doc) == expected
 
 
 def test_parse_instance_rejects_bad_documents():
