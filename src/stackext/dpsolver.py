@@ -360,9 +360,11 @@ def _branch_loop(inst: Instance, stats: SolveStats, first: Mapping[Vertex, int])
         for v, es in inst.kinds.anchors.items()
     }
     last = {idx[-1]: v for v, (idx, _) in ends.items() if idx}
-    memo: dict = {}
-    # per vertex: per interval its first admissible gap, 0 for none and
-    # None while untested, and the (page, old end) pairs it is tested for
+    # per vertex and pages of its edges to old vertices: per interval the
+    # first admissible gap, 0 for none and None while untested
+    memo: dict[Vertex, dict] = {v: {} for v in news}
+    # per vertex: its current memo entry and the (page, old end) pairs
+    # the entry is for
     current = {v: ([None] * count, []) for v in news}
 
     def start(v: Vertex, s: int) -> int:
@@ -439,11 +441,11 @@ def _branch_loop(inst: Instance, stats: SolveStats, first: Mapping[Vertex, int])
         elif k in last:
             v = last[k]
             idx, r2s = ends[v]
-            key = (v, tuple(pages[i] for i in idx))
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = ([None] * count, list(zip(key[1], r2s)))
-            current[v] = entry
+            key = tuple(pages[i] for i in idx)
+            status = memo[v].get(key)
+            if status is None:
+                status = memo[v][key] = [None] * count
+            current[v] = status, list(zip(key, r2s))
             if not any(start(v, s) for s in range(count)):
                 stats.branches += 1
                 continue
@@ -517,12 +519,15 @@ def _solve_branches(inst: Instance, stats: SolveStats) -> Optional[Layout]:
 def solve_fpt(inst: Instance, stats: Optional[SolveStats] = None) -> Optional[Layout]:
     """Exact solver parameterised by the number of new vertices and edges.
 
-    Branches over pages (lexicographic over the canonical new edge
-    order), new vertex orders (lexicographic) and non-decreasing super
+    Refutes by unary facts first (``stats.refuted`` says which, and no
+    branch is counted).  Otherwise branches over pages (lexicographic
+    over the canonical new edge order, checked as they are set), new
+    vertex orders (lexicographic) and non-decreasing admissible super
     intervals along the order (lexicographic), and settles each branch
     by first-fit or, with edges between new vertices, by the gap sweep
     (see ``_solve_branches``, which also says what ``stats.branches``
-    counts; ``stats.cells`` adds up the sweep tables' cells).
+    counts: a page prefix cut by forward checking counts once;
+    ``stats.cells`` adds up the sweep tables' cells).
     """
     stats = stats or SolveStats()
     stats.algorithm = "dp-fpt"
@@ -555,9 +560,10 @@ def solve_greedy_is(
 
     ``solve_fpt`` restricted to its first-fit case: with no edges
     between new vertices every branch is settled by one first-fit scan,
-    and ``stats.branches`` counts the rejections of ``_branch_loop``
-    plus every branch the scan runs on.  Raises :class:`InputError` on
-    an edge between two new vertices.
+    and ``stats.branches`` counts the rejections of ``_branch_loop`` (a
+    page prefix it cuts counts once) plus every branch the scan runs on;
+    a refutation by the presolve counts none.  Raises
+    :class:`InputError` on an edge between two new vertices.
     """
     stats = stats or SolveStats()
     stats.algorithm = "greedy-is"
