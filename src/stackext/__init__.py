@@ -31,7 +31,6 @@ from .dpsolver import (
 )
 from .generate import gen_random, random_clique_instance
 from .model import (
-    Face,
     FaceLookup,
     Graph,
     InputError,
@@ -40,7 +39,6 @@ from .model import (
     SpineOrder,
     edge,
     extends,
-    faces,
     find_crossing,
     is_valid,
     make_instance,
@@ -96,7 +94,6 @@ __all__ = [
     "CapacityError",
     "CliqueCertificate",
     "CliqueInstance",
-    "Face",
     "FaceLookup",
     "Formula",
     "GadgetCertificate",
@@ -128,7 +125,6 @@ __all__ = [
     "enumerate_solutions",
     "evaluate",
     "extends",
-    "faces",
     "find_crossing",
     "fixation_gadget_size",
     "format_report",

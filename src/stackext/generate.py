@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import InputError, Instance, alternates, edge, make_instance
 from .reductions import CliqueInstance

@@ -319,47 +319,6 @@ def page_width(layout: Layout) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Face:
-    """One region of a page: the outer face or the region below an edge.
-
-    ``edge`` is ``None`` for the outer face.  ``gap_lo .. gap_hi`` is the
-    run of gaps the face spans; the outer face spans every gap.  ``depth``
-    counts how many edges lie above the face, 0 for the outer face.
-    """
-
-    page: Page
-    edge: Optional[Edge]
-    depth: int
-    gap_lo: GapIndex
-    gap_hi: GapIndex
-
-    @property
-    def is_outer(self) -> bool:
-        return self.edge is None
-
-    def spans(self, g: GapIndex) -> bool:
-        return self.gap_lo <= g <= self.gap_hi
-
-
-def faces(layout: Layout, p: Page) -> tuple[Face, ...]:
-    """All faces of page ``p``: the outer face plus one per assigned edge.
-
-    The faces of a crossing-free page are laterally ordered by
-    containment, and an edge's depth is the number of edges enclosing it
-    (endpoints shared with the enclosing edge count as enclosed).
-    Raises :class:`InputError` if page ``p`` has a crossing.
-    """
-    spans, depths, _ = _page_scan(layout, p)
-    out = [Face(p, None, 0, 1, len(layout.spine) + 1)]
-    out += (
-        Face(p, e, d, lo // 2 + 1, hi // 2)
-        for e, (lo, hi), d in zip(layout.edges_on_page(p), spans, depths)
-    )
-    out.sort(key=lambda f: (f.depth, f.gap_lo, f.gap_hi))
-    return tuple(out)
-
-
 class FaceLookup:
     """Index of a crossing-free fixed layout: face depths and visibility.
 
@@ -514,15 +473,13 @@ class Instance:
     def super_intervals(self) -> tuple[SuperInterval, ...]:
         """The instance's super intervals (see :func:`super_intervals`),
         built on first use."""
-        n = len(self.layout_h.spine)
         out = []
-        left: Optional[Vertex] = None
         lo = 1
         for i, w in enumerate(self.incident_old):
             r = self.layout_h.rank_of(w)
-            out.append(SuperInterval(i, left, w, lo, r))
-            left, lo = w, r + 1
-        out.append(SuperInterval(len(self.incident_old), left, None, lo, n + 1))
+            out.append(SuperInterval(i, lo, r))
+            lo = r + 1
+        out.append(SuperInterval(len(self.incident_old), lo, self.gap_count))
         return tuple(out)
 
     @cached_property
@@ -582,13 +539,13 @@ def make_instance(
 class SuperInterval:
     """Maximal run of gaps delimited by consecutive affected old vertices.
 
-    ``left``/``right`` are the delimiting vertices, ``None`` standing for
-    the spine ends.  ``gap_lo .. gap_hi`` is the run of gaps, 1-based.
+    ``gap_lo .. gap_hi`` is the run of gaps, 1-based: it starts just
+    right of one affected old vertex (or at the left end of the spine)
+    and ends just left of the next (or at the right end).  ``index``
+    counts the affected old vertices to the left.
     """
 
     index: int
-    left: Optional[Vertex]
-    right: Optional[Vertex]
     gap_lo: GapIndex
     gap_hi: GapIndex
 

@@ -33,7 +33,7 @@ from .model import (
     edge,
     make_instance,
 )
-from .oracle import enumerate_solutions
+from .oracle import assemble_spine, enumerate_solutions
 from .serialize import _need, canonical, load_json
 
 
@@ -52,9 +52,10 @@ def fixation_gadget_size(f_count: int, ell: int, simple: bool = True) -> tuple[i
     """Vertex and edge counts of the anchor gadget, new elements included.
 
     With ``simple`` the blocks carry one private vertex pair per page
-    below the top one; the compressed form reuses a single pair per
-    block and stacks parallel edges instead, so it only exists as a
-    count (see :func:`build_fixation_gadget`).
+    below the top one, as :func:`build_fixation_gadget` builds them; the
+    compressed form reuses a single pair per block and stacks parallel
+    edges instead.  That is not a simple graph, so it only exists as a
+    count.
     """
     _check_gadget_params(f_count, ell)
     edges = (ell + 4) * f_count + ell + 2
@@ -86,7 +87,7 @@ def _gadget_parts(f_count, ell, bname, vname, aname):
     return spine, h_edges
 
 
-def build_fixation_gadget(f_count: int, ell: int, simple: bool = True) -> Instance:
+def build_fixation_gadget(f_count: int, ell: int) -> Instance:
     """Instance whose every solution interleaves anchors with old vertices.
 
     The spine holds blocks ``b_i^{ell-1} .. b_i^1, v_i, a_i^1 .. a_i^{ell-1}``
@@ -96,18 +97,9 @@ def build_fixation_gadget(f_count: int, ell: int, simple: bool = True) -> Instan
     the whole row with one long edge.  New anchor vertices ``f_i`` are
     adjacent to ``v_i`` and ``v_{i+1}``; in any solution ``f_i`` ends up
     strictly between the two and both its edges end up on the last page.
-
-    The compressed form replaces each block's nest with parallel edges
-    on one vertex pair; that is not a simple graph, so requesting
-    ``simple=False`` raises and only its size is available through
-    :func:`fixation_gadget_size`.
+    Its size is :func:`fixation_gadget_size` with ``simple`` set.
     """
     _check_gadget_params(f_count, ell)
-    if not simple:
-        raise InputError(
-            "the compressed gadget stacks parallel edges on one vertex pair "
-            "and cannot be built as a simple graph; use simple=True"
-        )
     spine, h_edges = _gadget_parts(
         f_count,
         ell,
@@ -123,21 +115,22 @@ def build_fixation_gadget(f_count: int, ell: int, simple: bool = True) -> Instan
     return make_instance(ell, spine, h_edges, new_vs, new_es)
 
 
+def _insert_after(spine: SpineOrder, pairs) -> SpineOrder:
+    # ``spine`` with the new vertex ``v`` of each pair ``(w, v)`` right after ``w``
+    return SpineOrder(
+        assemble_spine(spine.order, ((spine.rank_of(w) + 1, v) for w, v in pairs))
+    )
+
+
 def fixation_layout(f_count: int, ell: int) -> Layout:
     """The intended solution of :func:`build_fixation_gadget`: each anchor
     sits in the middle gap between its two blocks, edges on the last page."""
     inst = build_fixation_gadget(f_count, ell)
-    top = ell - 1
-    out = []
-    for w in inst.layout_h.spine:
-        out.append(w)
-        for i in range(1, f_count + 1):
-            if w == f"a{i}p{top}":
-                out.append(f"f{i}")
-    pages = dict(inst.layout_h.page_of)
-    for e in inst.new_edges:
-        pages[e] = ell
-    return Layout(SpineOrder(tuple(out)), ell, pages)
+    lay = inst.layout_h
+    pages = dict(lay.page_of)
+    pages.update((e, ell) for e in inst.new_edges)
+    after = ((f"a{i}p{ell - 1}", f"f{i}") for i in range(1, f_count + 1))
+    return Layout(_insert_after(lay.spine, after), ell, pages)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +211,6 @@ class SatCertificate:
         missing = [i for i in range(1, n + 1) if i not in assignment]
         if missing:
             raise InputError(f"assignment misses variables {missing}")
-        spine = []
-        for w in inst.layout_h.spine:
-            spine.append(w)
-            if w == f"ga1p{top}":
-                spine.append("s")
-            elif w == f"ga2p{top}":
-                spine.append("v")
         pages = dict(inst.layout_h.page_of)
         for name in ("gv1", "gv2"):
             pages[edge("s", name)] = pd
@@ -239,7 +225,8 @@ class SatCertificate:
             if hit is None:
                 raise InputError(f"assignment does not satisfy clause {j}")
             pages[edge("v", f"c{j}")] = self.var_page(abs(hit), hit < 0)
-        return Layout(SpineOrder(tuple(spine)), self.ell, pages)
+        after = ((f"ga1p{top}", "s"), (f"ga2p{top}", "v"))
+        return Layout(_insert_after(inst.layout_h.spine, after), self.ell, pages)
 
     def to_json(self) -> str:
         doc = {"n_vars": self.n_vars, "clauses": [list(c) for c in self.clauses]}
@@ -491,13 +478,8 @@ class CliqueCertificate:
             if t is None:
                 raise InputError(f"selected vertices {key} are not adjacent")
             pages[edge(f"x{a}", f"x{b}")] = t
-        spine = []
-        for w in inst.layout_h.spine:
-            spine.append(w)
-            for a in range(1, self.k + 1):
-                if w == f"u{a}j{selection[a - 1]}":
-                    spine.append(f"x{a}")
-        return Layout(SpineOrder(tuple(spine)), self.ell, pages)
+        after = ((f"u{a}j{i}", f"x{a}") for a, i in enumerate(selection, start=1))
+        return Layout(_insert_after(inst.layout_h.spine, after), self.ell, pages)
 
     def to_json(self) -> str:
         doc = {
@@ -535,7 +517,8 @@ def reduce_mcc(
     """Extension instance extendable iff ``gc`` has a colorful clique.
 
     One page per input edge, in input order, plus a last page anchoring
-    the gadget.  Part ``a`` contributes selection vertices
+    the gadget, built by the same block code as :func:`reduce_3sat` with
+    ``u_a^0`` as the marks.  Part ``a`` contributes selection vertices
     ``u_a^0 .. u_a^{n_a + 1}``; anchor ``x_a`` must end up in a gap
     ``(u_a^i, u_a^{i+1})``, which selects vertex ``(a, i)``.  The page
     of input edge ``e = ((a, i), (b, j))`` is walled off so that the new
@@ -552,22 +535,18 @@ def reduce_mcc(
     def size_of(a: int) -> int:
         return sizes[a - 1] if a <= k else 0
 
+    blocks, h_edges = _gadget_parts(
+        k,
+        pd,
+        lambda a, t: f"b{a}e{t}",
+        lambda a: f"u{a}j0",
+        lambda a, t: f"a{a}e{t}",
+    )
+    # the selection slots of part ``a`` follow its block of 2m + 1 vertices
     spine: list[Vertex] = ["u0j0"]
     for a in range(1, k + 2):
-        spine.extend(f"b{a}e{t}" for t in range(m, 0, -1))
-        spine.append(f"u{a}j0")
-        spine.extend(f"a{a}e{t}" for t in range(1, m + 1))
+        spine += blocks[(a - 1) * (2 * m + 1) : a * (2 * m + 1)]
         spine.extend(f"u{a}j{s}" for s in range(1, size_of(a) + 2))
-
-    h_edges: list[tuple[Vertex, Vertex, int]] = []
-    for a in range(1, k + 2):
-        for t in range(1, m + 1):
-            h_edges.append((f"b{a}e{t}", f"a{a}e{t}", t))
-        h_edges.append((f"b{a}e{m}", f"u{a}j0", pd))
-        h_edges.append((f"u{a}j0", f"a{a}e{m}", pd))
-    for a in range(1, k + 1):
-        h_edges.append((f"u{a}j0", f"u{a + 1}j0", pd))
-    h_edges.append((f"b1e{m}", f"a{k + 1}e{m}", pd))
 
     seen_pairs: dict[Edge, int] = {}
     dropped: list[tuple[Vertex, Vertex, int, int]] = []

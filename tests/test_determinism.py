@@ -8,10 +8,24 @@ refuted by unary facts and checked pages forward.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from stackext import ALGORITHMS, InputError, emit_solution, gen_random, solve
+from stackext import (
+    ALGORITHMS,
+    InputError,
+    emit_instance,
+    emit_solution,
+    gen_random,
+    random_clique_instance,
+    random_formula,
+    reduce_3sat,
+    reduce_mcc,
+    satisfying_assignment,
+    solve,
+)
+from stackext.reductions import fixation_layout
 
 from reference_impl import random_corpus
 
@@ -64,3 +78,39 @@ def test_first_fit_solutions_are_byte_identical():
     assert len(parts) == 30
     digest = hashlib.sha256("".join(parts).encode()).hexdigest()
     assert digest == FIRST_FIT_GOLDEN
+
+
+def _reduction_corpus():
+    # 3-CNF reductions, clique reductions and anchor gadgets, each with
+    # its instance file, its certificate and one canonical solution
+    rng = random.Random(14_000)
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        formula = random_formula(rng, n, rng.randint(1, 6))
+        inst, cert = reduce_3sat(formula)
+        yield emit_instance(inst) + cert.to_json()
+        gamma = satisfying_assignment(formula)
+        if gamma is not None:
+            yield emit_solution(cert.satisfying_layout(inst, gamma))
+    for _ in range(200):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        gc = random_clique_instance(rng, sizes, density=rng.choice((0.4, 0.7, 0.9)))
+        inst, cert = reduce_mcc(gc)
+        yield emit_instance(inst) + cert.to_json()
+        pick = next(gc.colorful_cliques(), None)
+        if pick is not None:
+            yield emit_solution(cert.selection_layout(inst, pick))
+    for f_count in range(1, 5):
+        for ell in range(2, 6):
+            yield emit_solution(fixation_layout(f_count, ell))
+
+
+# Recorded before ``reduce_mcc`` built its anchor blocks through the shared
+# gadget and before the certificates placed their new vertices with
+# ``assemble_spine``: both refactors must keep every byte.
+REDUCTION_GOLDEN = "455163ab23f302a0e77d53038a5f4edb019b332f45ebb1c6d451f9cb030876a4"
+
+
+def test_reduction_files_are_byte_identical():
+    digest = hashlib.sha256("".join(_reduction_corpus()).encode()).hexdigest()
+    assert digest == REDUCTION_GOLDEN

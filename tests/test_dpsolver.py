@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -17,10 +18,12 @@ from stackext import (
     edge,
     make_instance,
     page_width,
+    solve,
     solve_exhaustive,
     solve_fpt,
     solve_greedy_is,
     super_intervals,
+    verify_solution,
 )
 
 from reference_impl import (
@@ -299,3 +302,16 @@ def test_presolve_refutes_blocked_edges_and_vertices_before_branching():
     stats = SolveStats()
     assert solve_fpt(make_instance(1, spine, fixed, ["x"], [("x", "b")]), stats)
     assert stats.refuted == ""
+
+
+def test_fpt_loop_keeps_explicit_stacks():
+    # 1200 new vertices, each joined to the middle of a 3-vertex spine on
+    # one page: a walk that recursed once per new vertex would exceed
+    # the interpreter's recursion limit
+    n_add = 1200
+    assert n_add > sys.getrecursionlimit()
+    news = [f"n{i}" for i in range(n_add)]
+    inst = make_instance(1, ("h0", "h1", "h2"), [], news, [(v, "h1") for v in news])
+    for algo in ("auto", "greedy-is", "dp-fpt"):
+        sol = solve(inst, algo)
+        assert sol is not None and verify_solution(inst, sol) == (), algo

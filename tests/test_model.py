@@ -1,4 +1,4 @@
-"""Core data model: layouts, crossings, faces, instances."""
+"""Core data model: layouts, crossings, face lookup, instances."""
 
 import itertools
 import json
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import stackext
 from stackext import (
-    Face,
     FaceLookup,
     Graph,
     InputError,
@@ -20,7 +19,6 @@ from stackext import (
     SpineOrder,
     edge,
     extends,
-    faces,
     find_crossing,
     gen_random,
     is_valid,
@@ -194,25 +192,14 @@ def _demo_layout():
     )
 
 
-def test_faces_hand_example():
-    got = {f.edge: (f.depth, f.gap_lo, f.gap_hi) for f in faces(_demo_layout(), 1)}
-    assert got == {
-        None: (0, 1, 7),
-        edge("a", "f"): (1, 2, 6),
-        edge("a", "c"): (2, 2, 3),
-        edge("c", "e"): (2, 4, 5),
-    }
-
-
-def test_face_chain_hand_example():
-    lay = _demo_layout()
-    lookup = FaceLookup(lay)
-    # gap 4 (doubled position 7) lies under (a, f) and (c, e)
-    assert lookup.deepest(1, 4) == lookup.depth(1, 7) == 2
-    spanning = [f for f in faces(lay, 1) if f.spans(4)]
-    assert [f.edge for f in spanning] == [None, edge("a", "f"), edge("c", "e")]
-    assert [f.depth for f in spanning] == [0, 1, 2]
-    # vertex c (doubled position 6) lies under (a, f) only
+def test_face_lookup_hand_example():
+    lookup = FaceLookup(_demo_layout())
+    # gaps 2 .. 5 lie under (a, f) and one of (a, c), (c, e); gap 6 under
+    # (a, f) only; gaps 1 and 7 in the outer face
+    assert [lookup.deepest(1, g) for g in range(1, 8)] == [0, 2, 2, 2, 2, 1, 0]
+    # gap 4 is doubled position 7; vertex c (doubled position 6) lies
+    # under (a, f) only
+    assert lookup.depth(1, 7) == 2
     assert lookup.depth(1, 6) == 1
 
 
@@ -234,39 +221,6 @@ def test_vertex_incidence_hand_example():
     # from the face below (c, e)
     assert seen_from("a") == [1, 2, 3, 6, 7]
     assert seen_from("f") == [1, 6, 7]
-
-
-def test_gap_incidence_is_deepest_face():
-    lay = _demo_layout()
-    lookup = FaceLookup(lay)
-    by_edge = {f.edge: f for f in faces(lay, 1)}
-
-    def innermost(g):
-        (face,) = [
-            f for f in by_edge.values() if f.spans(g) and f.depth == lookup.deepest(1, g)
-        ]
-        return face
-
-    assert innermost(4) == by_edge[edge("c", "e")]
-    assert innermost(6) == by_edge[edge("a", "f")]
-    assert innermost(1) == by_edge[None]
-    assert innermost(7) == by_edge[None]
-
-
-@given(small_instances())
-@settings(max_examples=60, deadline=None)
-def test_face_chains_consecutive_depths(params):
-    inst = build(params)
-    if inst is None:
-        return
-    lay = inst.layout_h
-    lookup = FaceLookup(lay)
-    for p in range(1, lay.ell + 1):
-        page_faces = faces(lay, p)
-        for g in range(1, len(lay.spine) + 2):
-            # the faces spanning a gap have depths exactly 0 .. deepest
-            depths = sorted(f.depth for f in page_faces if f.spans(g))
-            assert depths == list(range(lookup.deepest(p, g) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +274,6 @@ def test_is_valid_and_find_crossing_match_pairwise(lay):
         a, b = sorted((lay.rank_of(e1[0]), lay.rank_of(e1[1])))
         c, d = sorted((lay.rank_of(e2[0]), lay.rank_of(e2[1])))
         assert a < c < b < d or c < a < d < b
-
-
-@given(raw_layouts())
-@settings(max_examples=100, deadline=None)
-def test_faces_depths_are_containment_counts(lay):
-    for p, spans in _rank_spans(lay).items():
-        if _clashes({p: spans}):
-            with pytest.raises(InputError):
-                faces(lay, p)
-            continue
-        got = {f.edge: f.depth for f in faces(lay, p) if not f.is_outer}
-        for e, (ru, rv) in zip(lay.edges_on_page(p), spans):
-            inside = sum(
-                1 for su, sv in spans if (su, sv) != (ru, rv) and su <= ru and rv <= sv
-            )
-            assert got[e] == 1 + inside
 
 
 @given(raw_layouts(crossing_free=True))

@@ -70,8 +70,6 @@ def test_gadget_param_validation():
         fixation_gadget_size(0, 2)
     with pytest.raises(InputError):
         fixation_gadget_size(1, 1)
-    with pytest.raises(InputError):
-        build_fixation_gadget(1, 2, simple=False)
 
 
 def test_intended_gadget_layout_solves():
