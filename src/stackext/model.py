@@ -65,17 +65,17 @@ class Graph:
             if v in seen:
                 raise InputError(f"duplicate vertex {v!r}")
             seen.add(v)
-        normalized = []
         known = set()
-        for e in self.edges:
-            e = edge(*e)
+        for u, v in self.edges:
+            if u == v:
+                raise InputError(f"self-loop at {u!r}")
+            e = (u, v) if u < v else (v, u)
             if e in known:
                 raise InputError(f"multi-edge {e!r}")
-            if e[0] not in seen or e[1] not in seen:
+            if u not in seen or v not in seen:
                 raise InputError(f"edge {e!r} has an unknown endpoint")
             known.add(e)
-            normalized.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        object.__setattr__(self, "edges", tuple(sorted(known)))
         object.__setattr__(self, "_vset", frozenset(seen))
         object.__setattr__(self, "_eset", frozenset(known))
 
@@ -153,6 +153,11 @@ class Layout:
             self, "_by_page", tuple(tuple(sorted(es)) for es in by_page)
         )
 
+    @cached_property
+    def _scans(self) -> tuple:
+        # ``_stack_scan`` of each page's doubled spans, at the page's index
+        return (None, *(_stack_scan(_spans(self, p)) for p in range(1, self.ell + 1)))
+
     def edges_on_page(self, p: Page) -> tuple[Edge, ...]:
         if not 1 <= p <= self.ell:
             raise InputError(f"page {p} outside 1..{self.ell}")
@@ -185,8 +190,8 @@ def make_layout(
 #
 # Positions are doubled so that gaps fit between vertex ranks as integers:
 # the vertex of rank r sits at 2r, gap g sits at 2g - 1.  Every crossing,
-# visibility and face question about a layout is answered here, and
-# ``_stack_scan`` is the one place that computes face depths.
+# visibility and face question about a layout is answered here, from the
+# one ``_stack_scan`` per page that ``Layout`` caches on first use.
 
 
 def alternates(a, b, c, d) -> bool:
@@ -208,51 +213,39 @@ def _spans(layout: Layout, p: Page) -> list[tuple[int, int]]:
     return out
 
 
-def _stack_scan(spans, probes=()):
+def _stack_scan(spans):
     """One left-to-right sweep over a page's arcs with a stack of open arcs.
 
     A page is crossing-free exactly when its arcs nest like balanced
     parentheses (Bernhart & Kainen 1979).  Arcs open in order of ``lo``,
     longer first on ties; an arc that opens under the top of the stack
     but closes beyond it alternates with it, and every alternating pair
-    shows up this way.  ``spans`` holds ``(lo, hi)`` pairs, ``lo < hi``.
+    shows up this way.  ``spans`` holds distinct ``(lo, hi)``, ``lo < hi``.
 
-    Returns ``(crossing, depths, inner)``.  ``crossing`` is ``None`` or
-    the indices of an alternating pair, at which the sweep stops.
-    ``depths[i]`` is the stack height once arc ``i`` has opened: the
-    number of arcs containing it, itself included.  ``inner[t]`` is the
-    innermost arc strictly enclosing position ``probes[t]``, or -1.  The
-    arcs enclosing a probe are the stack, so there are
-    ``depths[inner[t]]`` of them (0 for -1).
+    Returns ``(crossing, arcs)``: ``None`` or the alternating pair of
+    spans the sweep stops at, and the arcs opened as ``(lo, hi, depth)``
+    in sweep order, ``depth`` the number of arcs containing the arc,
+    itself included (the stack height once it has opened).
     """
-    events = sorted(
-        [(lo, 1, -hi, i) for i, (lo, hi) in enumerate(spans)]
-        + [(q, 0, 0, t) for t, q in enumerate(probes)]
-    )
-    stack: list[int] = []
-    depths = [0] * len(spans)
-    inner = [-1] * len(probes)
-    for pos, is_arc, neg_hi, i in events:
-        while stack and spans[stack[-1]][1] <= pos:
+    stack: list[tuple[int, int, int]] = []
+    arcs = []
+    for lo, neg_hi in sorted([(lo, -hi) for lo, hi in spans]):
+        while stack and stack[-1][1] <= lo:
             stack.pop()
-        if not is_arc:
-            if stack:
-                inner[i] = stack[-1]
-        elif stack and spans[stack[-1]][1] < -neg_hi:
-            return (stack[-1], i), depths, inner
-        else:
-            stack.append(i)
-            depths[i] = len(stack)
-    return None, depths, inner
+        if stack and stack[-1][1] < -neg_hi:
+            return (stack[-1][:2], (lo, -neg_hi)), arcs
+        stack.append((lo, -neg_hi, len(stack) + 1))
+        arcs.append(stack[-1])
+    return None, arcs
 
 
 def find_crossing(layout: Layout) -> Optional[tuple[Edge, Edge, Page]]:
     """A same-page crossing pair, edges sorted, on the first page with one."""
     for p in range(1, layout.ell + 1):
-        crossing, _, _ = _stack_scan(_spans(layout, p))
+        crossing = layout._scans[p][0]
         if crossing is not None:
-            page = layout.edges_on_page(p)
-            e1, e2 = sorted(page[i] for i in crossing)
+            edge_of = dict(zip(_spans(layout, p), layout.edges_on_page(p)))
+            e1, e2 = sorted(edge_of[span] for span in crossing)
             return e1, e2, p
     return None
 
@@ -263,11 +256,7 @@ def is_valid(graph: Graph, layout: Layout) -> bool:
     Requires the spine to order exactly the graph's vertices, a page in
     range for every edge, and no same-page crossing.
     """
-    if len(layout.spine) != len(graph.vertices):
-        return False
-    if any(v not in layout.spine for v in graph.vertices):
-        return False
-    if set(layout.page_of) != graph.edge_set:
+    if set(layout.spine) != graph.vertex_set or set(layout.page_of) != graph.edge_set:
         return False
     return find_crossing(layout) is None
 
@@ -295,62 +284,61 @@ def extends(layout_g: Layout, layout_h: Layout) -> bool:
 # pages as plane subdivisions
 
 
-def _page_scan(layout: Layout, p: Page, probes=()):
-    # doubled spans, arc depths and the innermost arc around each probe
-    # of page ``p``, from one stack scan; a crossing is an input error
-    spans = _spans(layout, p)
-    crossing, depths, inner = _stack_scan(spans, probes)
-    if crossing is not None:
-        raise InputError(f"page {p} is not crossing-free")
-    return spans, depths, inner
+def _arcs(layout: Layout) -> tuple:
+    # per page, the arcs of the cached scan; a crossing is an input error
+    conflict = find_crossing(layout)
+    if conflict is not None:
+        raise InputError(f"page {conflict[2]} is not crossing-free")
+    return tuple(arcs for _, arcs in layout._scans[1:])
 
 
 def page_width(layout: Layout) -> int:
     """Largest number of same-page edges strictly spanning a single gap.
 
-    This is the largest arc depth of the stack scan: the edges over a
-    position are those containing the innermost one, and the gap just
-    inside an edge's left end lies under every edge containing it.
-    Raises :class:`InputError` on a page with a crossing.
+    This is the largest arc depth of the layout's cached stack scan: the
+    edges over a position are those containing the innermost one, and
+    the gap just inside an edge's left end lies under every edge
+    containing it.  Raises :class:`InputError` on a page with a crossing.
     """
-    return max(
-        (d for p in range(1, layout.ell + 1) for d in _page_scan(layout, p)[1]),
-        default=0,
-    )
+    return max((d for arcs in _arcs(layout) for _, _, d in arcs), default=0)
 
 
 class FaceLookup:
     """Index of a crossing-free fixed layout: face depths and visibility.
 
-    One stack scan per page, probed at every doubled position
-    ``0 .. 2n + 1``, fills two tables: how many of the page's edges
-    strictly enclose the position, and the doubled span of the innermost
-    of them (the outer face reaches one position beyond either end of
-    the spine).  The faces spanning a gap are the outer face and the
-    edges over it, at consecutive depths ``0 .. deepest``.  Raises
-    :class:`InputError` on a crossing.
+    One table per page holds, for every doubled position ``0 .. 2n + 1``,
+    the innermost edge strictly enclosing it as ``(lo, hi, depth)``, with
+    ``(0, 2n + 2, 0)`` for the outer face.  A stack walk over the arcs of
+    the layout's cached scan fills it run by run, each position once.
+    The faces spanning a gap are the outer face and the edges over it, at
+    depths ``0 .. deepest``.  Raises :class:`InputError` on a crossing.
     """
 
     def __init__(self, layout: Layout):
         top = 2 * len(layout.spine) + 1
-        self._depth: dict[int, list[int]] = {}
-        self._inner: dict[int, list[tuple[int, int]]] = {}
+        self._faces: dict[int, list[tuple[int, int, int]]] = {}
         self._fits: dict[tuple[int, int], frozenset[int]] = {}
-        for p in range(1, layout.ell + 1):
-            spans, depths, inner = _page_scan(layout, p, range(top + 1))
-            # index -1, no enclosing edge, reads the outer face put last
-            depths.append(0)
-            spans.append((0, top + 1))
-            self._depth[p] = [depths[i] for i in inner]
-            self._inner[p] = [spans[i] for i in inner]
+        for p, arcs in enumerate(_arcs(layout), start=1):
+            faces: list[tuple[int, int, int]] = []
+            stack, x = [(0, top + 1, 0)], 0  # x: first position not written
+            # an arc opening at ``top`` closes every other one, then stops
+            for arc in (*arcs, (top, top, 0)):
+                while stack[-1][1] <= arc[0]:
+                    closed = stack.pop()
+                    faces += [closed] * (closed[1] - x)
+                    x = closed[1]
+                faces += [stack[-1]] * (arc[0] + 1 - x)
+                x = arc[0] + 1
+                stack.append(arc)
+            self._faces[p] = faces
 
     def depth(self, page: int, x: int) -> int:
         """Number of edges of ``page`` strictly enclosing doubled position ``x``."""
-        return self._depth[page][x]
+        return self._faces[page][x][2]
 
     def deepest(self, page: int, gap: int) -> int:
         """Depth of the innermost face of ``page`` spanning ``gap``."""
-        return self._depth[page][2 * gap - 1]
+        return self._faces[page][2 * gap - 1][2]
 
     def pages_fitting(self, a2: int, b2: int) -> frozenset[int]:
         """Pages on which the span between doubled positions ``a2`` and
@@ -366,8 +354,8 @@ class FaceLookup:
         if fit is None:
             fit = self._fits[(a2, b2)] = frozenset(
                 p
-                for p, inner in self._inner.items()
-                if inner[a2][1] >= b2 and inner[b2][0] <= a2
+                for p, faces in self._faces.items()
+                if faces[a2][1] >= b2 and faces[b2][0] <= a2
             )
         return fit
 
@@ -512,7 +500,18 @@ class Instance:
         return EdgeKinds(tuple(spans), frozen, tuple(links))
 
     def is_solution(self, layout: Layout) -> bool:
-        return is_valid(self.g, layout) and extends(layout, self.layout_h)
+        """Is ``layout`` a valid stack layout of ``g`` extending ``layout_h``?
+
+        Only the pages holding a new edge are scanned: fixed edges alone
+        nest on any spine that keeps the order of the fixed one.
+        """
+        g = self.g
+        if set(layout.spine) != g.vertex_set or set(layout.page_of) != g.edge_set:
+            return False
+        if not extends(layout, self.layout_h):
+            return False
+        pages = {layout.page_of[e] for e in self.new_edges}
+        return all(_stack_scan(_spans(layout, p))[0] is None for p in pages)
 
 
 def make_instance(

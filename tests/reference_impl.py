@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from stackext import (
     Instance,

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -228,22 +229,33 @@ def test_vertex_incidence_hand_example():
 
 
 @st.composite
-def raw_layouts(draw, crossing_free=False):
+def raw_layouts(draw, crossing_free=False, max_n=8):
     """Small layouts with shared endpoints and, unless ``crossing_free``,
-    any number of crossings per page; names do not follow spine order."""
-    n = draw(st.integers(2, 8))
+    any number of crossings per page; names do not follow spine order.
+    Each page first gets a rainbow (arcs nested around one centre, for
+    deep nesting) and a fan (arcs sharing a left end, for ties on the
+    left end), then random arcs follow on random pages."""
+    n = draw(st.integers(2, max_n))
     ell = draw(st.integers(1, 3))
     spine = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    chosen = []
+    for p in range(1, ell + 1):
+        c, k = draw(st.integers(1, n)), draw(st.integers(0, n // 2))
+        chosen += [(c - i, c + 1 + i, p) for i in range(k) if c - i >= 1 and c + i < n]
+        chosen += [(c, b, p) for b in range(c + 1, min(n, c + k) + 1)]
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=12)):
+        chosen.append((a, b, draw(st.integers(1, ell))))
     kept: dict[int, list[tuple[int, int]]] = {}
-    triples = []
-    for a, b in chosen:
-        p = draw(st.integers(1, ell))
+    triples, seen = [], set()
+    for a, b, p in chosen:
+        if (a, b) in seen:
+            continue
         if crossing_free and any(
             c < a < d < b or a < c < b < d for c, d in kept.get(p, ())
         ):
             continue
+        seen.add((a, b))
         kept.setdefault(p, []).append((a, b))
         triples.append((spine[a - 1], spine[b - 1], p))
     return make_layout(spine, ell, triples)
@@ -276,7 +288,7 @@ def test_is_valid_and_find_crossing_match_pairwise(lay):
         assert a < c < b < d or c < a < d < b
 
 
-@given(raw_layouts(crossing_free=True))
+@given(raw_layouts(crossing_free=True, max_n=30))
 @settings(max_examples=150, deadline=None)
 def test_depth_matches_pairwise_enclosure(lay):
     lookup = FaceLookup(lay)
@@ -286,7 +298,7 @@ def test_depth_matches_pairwise_enclosure(lay):
             assert lookup.depth(p, x) == want
 
 
-@given(raw_layouts(crossing_free=True))
+@given(raw_layouts(crossing_free=True, max_n=30))
 @settings(max_examples=150, deadline=None)
 def test_pages_fitting_matches_pairwise_alternation(lay):
     # doubled positions: vertex of rank r at 2r, gap g at 2g - 1, so this
@@ -344,6 +356,38 @@ def test_face_lookup_rejects_crossing_layout():
     lay = make_layout(("a", "b", "c", "d"), 1, [("a", "c", 1), ("b", "d", 1)])
     with pytest.raises(InputError):
         FaceLookup(lay)
+
+
+def test_fixed_layout_is_scanned_once(monkeypatch):
+    # construction's crossing check, the face lookup, page_width and
+    # find_crossing all read the one scan per page the layout caches
+    calls = []
+    scan = stackext.model._stack_scan
+    monkeypatch.setattr(
+        stackext.model, "_stack_scan", lambda spans: calls.append(1) or scan(spans)
+    )
+    fixed = [("a", "f", 1), ("b", "d", 1), ("c", "e", 3)]
+    inst = make_instance(3, "abcdef", fixed, ["x"], [("x", "a")])
+    assert inst.lookup.deepest(1, 3) == 2
+    assert page_width(inst.layout_h) == 2
+    assert find_crossing(inst.layout_h) is None
+    assert len(calls) == inst.ell
+
+
+def test_face_lookup_fills_a_deep_rainbow_in_linear_time():
+    # 9 999 nested arcs on 20 000 vertices; writing each arc's whole span
+    # would take about 10^8 steps, one write per position takes 4 * 10^4
+    n = 20_000
+    spine = [f"v{i:05d}" for i in range(n)]
+    lay = make_layout(spine, 1, [(spine[i], spine[n - 1 - i], 1) for i in range(9_999)])
+    t0 = time.perf_counter()
+    lookup = FaceLookup(lay)
+    assert time.perf_counter() - t0 < 1.0
+    # gap n // 2 + 1 lies between the middle two vertices, under every arc
+    assert lookup.deepest(1, n // 2 + 1) == 9_999
+    assert lookup.depth(1, 2 * (n // 2)) == 9_999
+    assert [lookup.depth(1, x) for x in range(6)] == [0, 0, 0, 1, 1, 2]
+    assert page_width(lay) == 9_999
 
 
 def test_instance_views():
@@ -482,3 +526,37 @@ def test_is_solution_accepts_and_rejects():
         ("a", "x", "b", "c"), 2, [("a", "c", 2), ("x", "b", 1)]
     )
     assert not inst.is_solution(wrong_page)
+
+
+def test_is_solution_scans_only_pages_with_new_edges(monkeypatch):
+    fixed = [("a", "c", 1), ("b", "d", 2)]
+    inst = make_instance(3, "abcd", fixed, ["x"], [("x", "c")])
+    seen = []
+    scan = stackext.model._stack_scan
+    monkeypatch.setattr(
+        stackext.model, "_stack_scan", lambda spans: seen.append(spans) or scan(spans)
+    )
+    assert inst.is_solution(make_layout("axbcd", 3, fixed + [("x", "c", 3)]))
+    # (x, c) crosses (b, d) on page 2; only the page with the new edge is scanned
+    assert not inst.is_solution(make_layout("axbcd", 3, fixed + [("x", "c", 2)]))
+    assert seen == [[(4, 8)], [(6, 10), (4, 8)]]
+
+
+@given(small_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_is_solution_matches_is_valid_and_extends(params, rng):
+    inst = build(params)
+    if inst is None:
+        return
+    spine = list(inst.layout_h.spine)
+    for v in inst.new_vertices:
+        spine.insert(rng.randint(0, len(spine)), v)
+    if rng.random() < 0.2:
+        rng.shuffle(spine)
+    pages = dict(inst.layout_h.page_of)
+    pages.update({e: rng.randint(1, inst.ell) for e in inst.new_edges})
+    if pages and rng.random() < 0.2:
+        pages[rng.choice(sorted(pages))] = rng.randint(1, inst.ell)
+    lay = Layout(SpineOrder(tuple(spine)), inst.ell, pages)
+    want = is_valid(inst.g, lay) and extends(lay, inst.layout_h)
+    assert inst.is_solution(lay) == want

@@ -1,7 +1,5 @@
 """Exhaustive search: enumeration order, completeness, capacity."""
 
-import math
-
 import pytest
 
 from stackext import (

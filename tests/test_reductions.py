@@ -15,7 +15,6 @@ from stackext import (
     all_clauses,
     build_fixation_gadget,
     check_reduction_lemmas,
-    edge,
     enumerate_solutions,
     evaluate,
     fixation_gadget_size,
@@ -26,7 +25,6 @@ from stackext import (
     reduce_3sat,
     reduce_mcc,
     satisfying_assignment,
-    solve_exhaustive,
     solve_xp,
 )
 from stackext.reductions import SatCertificate, fixation_layout

@@ -8,9 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stackext import (
     InputError,
-    Layout,
     RawSolution,
-    SpineOrder,
     Violation,
     edge,
     emit_instance,
