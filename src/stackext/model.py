@@ -138,20 +138,20 @@ class Layout:
         on_spine = self.spine._rank  # type: ignore[attr-defined]
         fixed = {}
         by_page: list[list[Edge]] = [[] for _ in range(self.ell + 1)]
-        for e, p in self.page_of.items():
-            e = edge(*e)
+        for (u, v), p in self.page_of.items():
+            if u == v:
+                raise InputError(f"self-loop at {u!r}")
+            e = (u, v) if u < v else (v, u)
             if e in fixed:
                 raise InputError(f"multi-edge {e!r}")
             if not 1 <= p <= self.ell:
                 raise InputError(f"page {p} of edge {e!r} outside 1..{self.ell}")
-            if e[0] not in on_spine or e[1] not in on_spine:
+            if u not in on_spine or v not in on_spine:
                 raise InputError(f"edge {e!r} has an endpoint off the spine")
             fixed[e] = p
             by_page[p].append(e)
         object.__setattr__(self, "page_of", MappingProxyType(fixed))
-        object.__setattr__(
-            self, "_by_page", tuple(tuple(sorted(es)) for es in by_page)
-        )
+        object.__setattr__(self, "_by_page", tuple(tuple(sorted(es)) for es in by_page))
 
     @cached_property
     def _scans(self) -> tuple:
@@ -321,7 +321,7 @@ class FaceLookup:
         for p, arcs in enumerate(_arcs(layout), start=1):
             faces: list[tuple[int, int, int]] = []
             stack, x = [(0, top + 1, 0)], 0  # x: first position not written
-            # an arc opening at ``top`` closes every other one, then stops
+            # a last arc, opening at ``top``, closes the others and ends the table
             for arc in (*arcs, (top, top, 0)):
                 while stack[-1][1] <= arc[0]:
                     closed = stack.pop()
