@@ -9,6 +9,9 @@ from typing import Sequence
 from .model import InputError, Instance, alternates, edge, make_instance
 from .reductions import CliqueInstance
 
+# draws per fixed edge before gen_random gives up on a dense request
+TRIES = 100
+
 
 def gen_random(
     nh: int,
@@ -17,14 +20,13 @@ def gen_random(
     n_add: int,
     m_add: int,
     seed: int,
-    tries: int = 100,
 ) -> Instance:
     """Random extension instance, deterministic per seed.
 
     The fixed layout is built incrementally: random endpoint pairs and
     pages are drawn until the edge can join its page without a crossing,
-    so the layout is valid by construction.  ``tries`` bounds the draws
-    per fixed edge; dense requests that keep losing the draw are
+    so the layout is valid by construction.  :data:`TRIES` bounds the
+    draws per fixed edge; dense requests that keep losing the draw are
     rejected rather than looped forever.  New edges are sampled from all
     remaining vertex pairs, so they may also join two old vertices.
     """
@@ -43,7 +45,7 @@ def gen_random(
     h_edges = []
     chosen = set()
     for t in range(mh):
-        for _ in range(tries):
+        for _ in range(TRIES):
             u, v = rng.sample(old, 2)
             e = edge(u, v)
             if e in chosen:
@@ -58,7 +60,7 @@ def gen_random(
             break
         else:
             raise InputError(
-                f"could not place fixed edge {t + 1} of {mh} within {tries} tries; "
+                f"could not place fixed edge {t + 1} of {mh} within {TRIES} tries; "
                 f"lower mh or raise ell"
             )
     news = [f"n{i}" for i in range(1, n_add + 1)]

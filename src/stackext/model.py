@@ -524,8 +524,8 @@ def make_instance(
     """Assemble an :class:`Instance` from plain pieces.
 
     Builds the fixed layout with :func:`make_layout`, which checks the
-    fixed edges, and one :class:`Graph` for G, which checks the new
-    vertices and edges against the old ones; every defect raises
+    fixed edges, and one :class:`Graph` for G, which checks all of its
+    vertices and edges, the fixed ones again; every defect raises
     :class:`InputError`.
     """
     spine = tuple(spine)

@@ -9,13 +9,11 @@ an instance it will never finish.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Iterator, Optional
 
-from .model import InputError, Instance, Layout, SpineOrder, Vertex
+from .model import Instance, Layout, SpineOrder, Vertex
 
 DEFAULT_CAP = 10**8
-CAP_ENV = "STACKEXT_ORACLE_CAP"
 
 
 class CapacityError(RuntimeError):
@@ -29,18 +27,6 @@ def search_space(inst: Instance) -> int:
     for i in range(1, inst.n_add + 1):
         size *= n + i
     return size * inst.ell**inst.m_add
-
-
-def _resolve_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{CAP_ENV}={raw!r} is not an integer") from None
 
 
 def spine_extensions(inst: Instance) -> Iterator[tuple[Vertex, ...]]:
@@ -93,10 +79,9 @@ def enumerate_solutions(
     skips no valid completion.
 
     Raises :class:`CapacityError` up front when the search space exceeds
-    ``cap`` (default: the ``STACKEXT_ORACLE_CAP`` environment variable or
-    10**8).
+    ``cap`` (default :data:`DEFAULT_CAP`, 10**8).
     """
-    limit = _resolve_cap(cap)
+    limit = DEFAULT_CAP if cap is None else cap
     size = search_space(inst)
     if size > limit:
         raise CapacityError(

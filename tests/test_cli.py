@@ -122,16 +122,6 @@ def test_solve_capacity_exit(runner, tmp_path):
     assert "error:" in got.output
 
 
-def test_solve_rejects_bad_oracle_cap_variable(runner, tmp_path, monkeypatch):
-    _, path = _solvable(tmp_path)
-    monkeypatch.setenv("STACKEXT_ORACLE_CAP", "lots")
-    got = runner.invoke(main, ["solve", path, "--algo", "oracle"])
-    assert got.exit_code == 2
-    assert got.output.strip().splitlines() == [
-        "error: STACKEXT_ORACLE_CAP='lots' is not an integer"
-    ]
-
-
 def test_solve_rejects_garbage_file(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

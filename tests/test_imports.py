@@ -1,8 +1,14 @@
-"""Every imported name is used, checked with the standard library's ``ast``.
+"""Every imported name and every definition is used, checked with the
+standard library's ``ast``.
 
-Covers the sources under ``src/`` and the tests.  A name listed in a
-module's ``__all__`` counts as used (it is re-exported), and
+Imports: covers the sources under ``src/`` and the tests.  A name listed
+in a module's ``__all__`` counts as used (it is re-exported), and
 ``from __future__`` imports are exempt.
+
+Definitions: every module-level function and class in ``src/stackext``
+is used somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside its
+own definition, as a name, an attribute, an import or an ``__all__``
+entry.  Functions a ``click`` ``command`` decorator registers are exempt.
 """
 
 import ast
@@ -53,3 +59,69 @@ def test_the_check_sees_an_unused_import():
         "    print(os.sep)\n"
     )
     assert unused_imports(source) == [(2, "sys"), (3, "Opt")]
+
+
+def _uses(node: ast.AST) -> set[str]:
+    # names, attributes, imported names and __all__ entries under node
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets
+        ):
+            out.update(ast.literal_eval(sub.value))
+    return out
+
+
+def _is_command(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr == "command"
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def dead_definitions(sources: dict[str, str], checked) -> list[str]:
+    """``path:line: name`` of every module-level function or class in the
+    ``checked`` paths that no source in ``sources`` uses outside its own
+    definition."""
+    defs = []
+    used = set()
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                used |= _uses(node) - {node.name}
+                if path in checked and not _is_command(node):
+                    defs.append((path, node.lineno, node.name))
+            else:
+                used |= _uses(node)
+    return [f"{path}:{line}: {name}" for path, line, name in defs if name not in used]
+
+
+def test_no_dead_definitions():
+    demo = {
+        "m.py": (
+            "import click\n"
+            "def fact(n):\n"
+            "    return 1 if n < 2 else n * fact(n - 1)\n"
+            "class Used: pass\n"
+            "@main.command('go')\n"
+            "def cmd_go(): pass\n"
+        ),
+        "t.py": "from m import Used\n",
+    }
+    assert dead_definitions(demo, {"m.py"}) == ["m.py:2: fact"]
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for top in ("src", "tests", "perfbench")
+        for p in sorted((ROOT / top).rglob("*.py"))
+    }
+    checked = {p for p in sources if p.startswith("src/stackext/")}
+    assert checked
+    assert dead_definitions(sources, checked) == []

@@ -67,14 +67,6 @@ def test_cap_argument_trips():
         list(enumerate_solutions(inst, cap=10))
 
 
-def test_cap_env_var(monkeypatch):
-    monkeypatch.setenv("STACKEXT_ORACLE_CAP", "10")
-    with pytest.raises(CapacityError):
-        solve_exhaustive(_tiny())
-    monkeypatch.setenv("STACKEXT_ORACLE_CAP", "1000000")
-    assert solve_exhaustive(_tiny()) is not None
-
-
 def test_empty_instance_is_trivially_extendable():
     inst = make_instance(1, [], [], [], [])
     sol = solve_exhaustive(inst)

@@ -16,6 +16,7 @@ from stackext import (
     make_instance,
     parse_instance,
     parse_solution,
+    solve,
     solve_exhaustive,
     verify_solution,
 )
@@ -129,6 +130,56 @@ def _documents(draw):
 def test_canonical_matches_indented_json(doc):
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert canonical(doc) == expected
+
+
+@st.composite
+def _pieces(draw):
+    # a small instance as plain pieces; fixed edges join spine neighbours
+    # or the two ends, so they never cross, and either end may come first
+    names = draw(st.lists(_NAME, unique=True, max_size=7))
+    k = draw(st.integers(0, len(names)))
+    spine, news = names[:k], names[k:]
+    ell = draw(st.integers(1, 3))
+    spans = list(zip(spine, spine[1:]))
+    if len(spine) > 2:
+        spans.append((spine[0], spine[-1]))
+    h_edges = []
+    for u, v in spans:
+        if draw(st.booleans()):
+            p = draw(st.integers(1, ell))
+            h_edges.append((v, u, p) if draw(st.booleans()) else (u, v, p))
+    fixed = {frozenset(e[:2]) for e in h_edges}
+    free = [e for e in itertools.combinations(names, 2) if frozenset(e) not in fixed]
+    drawn = []
+    if free:
+        drawn = draw(st.lists(st.sampled_from(free), unique=True, max_size=4))
+    new_edges = [e[::-1] if draw(st.booleans()) else e for e in drawn]
+    return ell, spine, h_edges, news, new_edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pieces())
+@example((1, [], [], [], []))
+@example((2, ["", "\ud800"], [("\ud800", "", 2)], [], []))
+def test_writers_match_indented_json(pieces):
+    ell, spine, h_edges, news, new_edges = pieces
+    inst = make_instance(ell, spine, h_edges, news, new_edges)
+    rank = {v: i for i, v in enumerate(spine)}
+    fixed = sorted((*sorted((rank[u], rank[v])), p) for u, v, p in h_edges)
+    doc = {
+        "ell": ell,
+        "H": {
+            "spine": spine,
+            "edges": [{"u": spine[a], "v": spine[b], "page": p} for a, b, p in fixed],
+        },
+        "new_vertices": news,
+        "new_edges": [{"u": u, "v": v} for u, v in sorted(map(sorted, new_edges))],
+    }
+    assert emit_instance(inst) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    sol = solve(inst)
+    if sol is not None:
+        text = emit_solution(sol)
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_parse_instance_rejects_bad_documents():
