@@ -54,7 +54,7 @@ def canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _names(names, pad: str) -> str:
+def _names(names: tuple[Vertex, ...], pad: str) -> str:
     # a list of names whose key sits at indentation ``pad``, each quoted
     # by the C string encoder that ``json`` itself uses
     if not names:
@@ -63,19 +63,11 @@ def _names(names, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(map(_quote, names)) + "\n" + pad + "]"
 
 
-def _row_template(pad: str, with_page: bool) -> str:
-    # one ``%`` template for an edge row of a list whose key sits at ``pad``
-    inner, field = pad + "  ", pad + "    "
-    page = '"page": %d,\n' + field if with_page else ""
-    return (
-        inner + "{\n" + field + page
-        + '"u": %s,\n' + field + '"v": %s\n' + inner + "}"
-    )
-
-
-_FIXED_ROW = _row_template("    ", True)
-_NEW_ROW = _row_template("  ", False)
-_SOLUTION_ROW = _row_template("  ", True)
+# edge rows as the indented ``json.dumps`` writes them: fixed edges sit
+# one level deeper (under "H") than solution pages and new edges
+_FIXED_ROW = '      {\n        "page": %d,\n        "u": %s,\n        "v": %s\n      }'
+_SOLUTION_ROW = '    {\n      "page": %d,\n      "u": %s,\n      "v": %s\n    }'
+_NEW_ROW = '    {\n      "u": %s,\n      "v": %s\n    }'
 
 
 def _rows(rows: list[str], pad: str) -> str:
