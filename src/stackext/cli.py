@@ -4,7 +4,8 @@ Exit codes for ``solve``: 0 a solution was written, 1 the instance is
 not extendable, 2 the input is malformed, 3 the exhaustive search
 budget was exceeded.  ``verify`` exits 0 on a valid solution and 1 with
 one violation per output line otherwise.  ``bench`` exits 1 when two
-algorithms disagree on any instance.
+algorithms disagree on any instance.  Any command exits 4, printing the
+traceback, on an unexpected exception, so a crash never reads as a "no".
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import pathlib
 import sys
+import traceback
 
 import click
 
@@ -37,6 +39,7 @@ from .solvers import SolveStats
 EXIT_UNSOLVABLE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(msg: str, code: int) -> None:
@@ -73,6 +76,11 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except InputError as exc:
             _fail(str(exc), EXIT_INPUT)
+        except (click.ClickException, click.Abort, click.exceptions.Exit):
+            raise
+        except Exception:
+            traceback.print_exc()
+            sys.exit(EXIT_INTERNAL)
 
     return inner
 
@@ -266,7 +274,7 @@ def cmd_stats(instance) -> None:
     inst = _load_instance(instance)
     rows = (
         ("fixed vertices", len(inst.layout_h.spine)),
-        ("fixed edges", len(inst.h.edges)),
+        ("fixed edges", len(inst.layout_h.page_of)),
         ("pages", inst.ell),
         ("new vertices (n_add)", inst.n_add),
         ("new edges (m_add)", inst.m_add),

@@ -5,13 +5,13 @@ assigns every edge to one of ``ell`` pages so that edges sharing a page
 can be drawn as arcs in a half-plane without crossings.  Two edges on the
 same page cross exactly when their endpoints alternate along the spine.
 
-An extension instance consists of a graph ``G`` and a valid layout of a
-subgraph ``H``; the layout fixes ``H``, its vertices on the spine and
-its edges on pages.  The question is whether the layout can be
-completed to a valid layout of ``G`` that keeps every spine position and
-page choice made for ``H``.  Everything else about an instance (the page
-count, ``H`` as a graph, the new vertices and edges and the kind of each
-new edge) is derived from those two pieces, once, on first use.
+An extension instance is what its file states: a valid layout of a
+subgraph ``H`` of a graph ``G`` (its vertices on the spine, its edges on
+pages), then the vertices and edges of ``G`` that are new.  The question
+is whether the layout can be completed to a valid layout of ``G`` that
+keeps every spine position and page choice made for ``H``.  Everything
+else (the page count, ``G`` as a graph, the kind of each new edge) is
+derived from those three pieces, once, on first use.
 
 Conventions used throughout the package:
 
@@ -162,10 +162,6 @@ class Layout:
         if not 1 <= p <= self.ell:
             raise InputError(f"page {p} outside 1..{self.ell}")
         return self._by_page[p]  # type: ignore[attr-defined]
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.page_of))
 
     def rank_of(self, v: Vertex) -> int:
         return self.spine.rank_of(v)
@@ -381,25 +377,31 @@ class EdgeKinds(NamedTuple):
 
 @dataclass(frozen=True)
 class Instance:
-    """An extension instance: graph ``g`` and a fixed layout of part of it.
+    """An extension instance: a fixed layout and the pieces it lacks.
 
-    ``layout_h`` fixes the subgraph H: its spine holds the old vertices
-    and its pages the fixed edges, so the page count and H are read from
-    it.  Construction checks that H lies in ``g`` and that the fixed
-    layout has no crossing.  Everything else (the new vertices and
-    edges, the new edges by kind, the index of the fixed layout) is
-    derived on first use, in deterministic order, and cached.
+    ``layout_h`` fixes the subgraph H, so the page count is read from it.
+    ``new_vertices`` keeps its order; ``new_edges`` is normalized and
+    sorted.  ``Layout`` checks the fixed part; construction checks the
+    new pieces against it and that the fixed layout has no crossing, so
+    H lies in G by construction.  Everything else (G as a graph, the new
+    edges by kind, the index of the fixed layout) is derived on first
+    use, in deterministic order, and cached.
     """
 
-    g: Graph
     layout_h: Layout
+    new_vertices: tuple[Vertex, ...]
+    new_edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        lay, g = self.layout_h, self.g
-        extra = [v for v in lay.spine if v not in g.vertex_set]
-        extra += sorted(lay.page_of.keys() - g.edge_set)
-        if extra:
-            raise InputError(f"fixed vertices and edges {extra} missing from the graph")
+        lay = self.layout_h
+        new_vertices = tuple(self.new_vertices)
+        # Graph checks G's vertices and, of its edges, only the new ones
+        new_edges = Graph(lay.spine.order + new_vertices, self.new_edges).edges
+        fixed = lay.page_of.keys() & new_edges
+        if fixed:
+            raise InputError(f"multi-edge {min(fixed)!r}")
+        object.__setattr__(self, "new_vertices", new_vertices)
+        object.__setattr__(self, "new_edges", new_edges)
         conflict = find_crossing(lay)
         if conflict is not None:
             e1, e2, p = conflict
@@ -410,19 +412,11 @@ class Instance:
         return self.layout_h.ell
 
     @cached_property
-    def h(self) -> Graph:
-        """The fixed subgraph as a :class:`Graph`, built on first use."""
-        return Graph(self.layout_h.spine.order, self.layout_h.edges)
-
-    @cached_property
-    def new_vertices(self) -> tuple[Vertex, ...]:
-        """Vertices of G missing from H, in G's vertex order."""
-        return tuple(v for v in self.g.vertices if v not in self.layout_h.spine)
-
-    @cached_property
-    def new_edges(self) -> tuple[Edge, ...]:
-        """Edges of G missing from H, sorted."""
-        return tuple(e for e in self.g.edges if e not in self.layout_h.page_of)
+    def g(self) -> Graph:
+        """The whole graph G, built on first use."""
+        lay = self.layout_h
+        edges = (*lay.page_of, *self.new_edges)
+        return Graph(lay.spine.order + self.new_vertices, edges)
 
     @cached_property
     def new_old_edges(self) -> tuple[Edge, ...]:
@@ -523,15 +517,11 @@ def make_instance(
 ) -> Instance:
     """Assemble an :class:`Instance` from plain pieces.
 
-    Builds the fixed layout with :func:`make_layout`, which checks the
-    fixed edges, and one :class:`Graph` for G, which checks all of its
-    vertices and edges, the fixed ones again; every defect raises
-    :class:`InputError`.
+    :func:`make_layout` builds and checks the fixed layout, and
+    :class:`Instance` checks the new pieces against it; every defect
+    raises :class:`InputError`.  Instance files are read through here.
     """
-    spine = tuple(spine)
-    layout = make_layout(spine, ell, h_edges)
-    g = Graph(spine + tuple(new_vertices), (*layout.page_of, *new_edges))
-    return Instance(g, layout)
+    return Instance(make_layout(spine, ell, h_edges), new_vertices, new_edges)
 
 
 @dataclass(frozen=True)

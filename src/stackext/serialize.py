@@ -89,6 +89,10 @@ def load_json(text: str) -> Any:
 def _need(doc: Any, key: str, kind: type, where: str) -> Any:
     if not isinstance(doc, dict):
         raise InputError(f"{where} must be an object")
+    return _field(doc, key, kind, where)
+
+
+def _field(doc: dict, key: str, kind: type, where: str) -> Any:
     if key not in doc:
         raise InputError(f"{where} lacks {key!r}")
     val = doc[key]
@@ -119,11 +123,10 @@ def _edge_docs(layout: Layout) -> list[tuple[Vertex, Vertex, int]]:
 
 
 def _edge_obj(item: Any, where: str, with_page: bool):
-    u = _need(item, "u", str, where)
-    v = _need(item, "v", str, where)
-    if with_page:
-        return u, v, _need(item, "page", int, where)
-    return u, v
+    if not isinstance(item, dict):
+        raise InputError(f"{where} must be an object")
+    u, v = _field(item, "u", str, where), _field(item, "v", str, where)
+    return (u, v, _field(item, "page", int, where)) if with_page else (u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import Iterator, Optional, Sequence
 
 from .model import (
     Edge,
-    Graph,
     Instance,
     InputError,
     Layout,
@@ -111,8 +110,7 @@ def reduce_safe_edges(inst: Instance) -> tuple[Instance, tuple[Edge, ...]]:
     remaining, removed = _removal_order(inst.new_edges, fits)
     if not removed:
         return inst, ()
-    g = Graph(inst.g.vertices, (*inst.layout_h.page_of, *remaining))
-    return Instance(g, inst.layout_h), tuple(removed)
+    return Instance(inst.layout_h, inst.new_vertices, remaining), tuple(removed)
 
 
 def _assign_with_fits(new_pairs, fits) -> Optional[list[int]]:

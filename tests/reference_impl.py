@@ -14,14 +14,17 @@ import random
 from typing import Iterator, Union
 
 from stackext import (
+    Graph,
     Instance,
     InputError,
     Layout,
     RawSolution,
     Violation,
     edge,
+    find_crossing,
     gen_random,
     make_instance,
+    make_layout,
 )
 from stackext.model import Edge, Vertex
 
@@ -235,7 +238,7 @@ def reference_implied_crossing(inst: Instance, branch) -> bool:
 
     sups = super_intervals(inst)
     lay = inst.layout_h
-    old = inst.h.vertex_set
+    old = inst.layout_h.spine
 
     def key(w):
         if w in old:
@@ -369,6 +372,30 @@ def planted_instance(
         new_edges.append(rng.choice(free))
     h_edges = [(u, v, p) for (u, v), p in olds]
     return make_instance(ell, old_spine, h_edges, news, new_edges)
+
+
+# ---------------------------------------------------------------------------
+# instance construction with G as one graph
+
+
+def reference_instance_parts(
+    ell, spine, h_edges, new_vertices, new_edges
+) -> tuple[Graph, Layout]:
+    """G and the fixed layout of ``make_instance``'s pieces, checked the
+    long way round: the fixed layout checks the fixed edges, one
+    :class:`Graph` checks every vertex and edge of G (the fixed edges a
+    second time), then H must lie in G and the fixed layout must have no
+    crossing.  Raises :class:`InputError` on any defect."""
+    spine = tuple(spine)
+    layout = make_layout(spine, ell, h_edges)
+    g = Graph(spine + tuple(new_vertices), (*layout.page_of, *new_edges))
+    extra = [v for v in layout.spine if v not in g.vertex_set]
+    extra += sorted(layout.page_of.keys() - g.edge_set)
+    if extra:
+        raise InputError(f"fixed vertices and edges {extra} missing from the graph")
+    if find_crossing(layout) is not None:
+        raise InputError("given layout is invalid")
+    return g, layout
 
 
 # ---------------------------------------------------------------------------

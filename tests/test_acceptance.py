@@ -74,7 +74,7 @@ def _battery(inst):
         out["edges-fpt"] = solve_edges_only(inst) is not None
     if inst.n_add == 1 and not inst.new_old_edges:
         out["one-vertex"] = solve_one_vertex(inst) is not None
-    old = inst.h.vertex_set
+    old = inst.layout_h.spine
     if all(u in old or v in old for u, v in inst.new_edges):
         out["greedy-is"] = solve_greedy_is(inst) is not None
     return out

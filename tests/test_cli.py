@@ -14,6 +14,7 @@ from stackext import (
     parse_solution,
     solve_exhaustive,
 )
+from stackext import cli
 from stackext.cli import main
 
 
@@ -133,6 +134,19 @@ def test_solve_rejects_garbage_file(runner, tmp_path):
 def test_solve_missing_file(runner, tmp_path):
     got = runner.invoke(main, ["solve", str(tmp_path / "absent.json")])
     assert got.exit_code == 2
+
+
+def test_solve_crash_exits_4_with_traceback(runner, tmp_path, monkeypatch):
+    # an unexpected exception is not a "no" (exit 1) or bad input (exit 2)
+    def broken(*args):
+        raise RuntimeError("solver produced an invalid layout")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    _, path = _solvable(tmp_path)
+    got = runner.invoke(main, ["solve", path])
+    assert got.exit_code == cli.EXIT_INTERNAL == 4, got.output
+    assert "Traceback (most recent call last)" in got.output
+    assert "RuntimeError: solver produced an invalid layout" in got.output
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "reduce mcc"])

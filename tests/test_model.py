@@ -31,7 +31,7 @@ from stackext import (
 from stackext.cli import main
 from stackext.model import alternates
 
-from reference_impl import _clashes
+from reference_impl import _clashes, reference_instance_parts
 
 
 def small_instances():
@@ -274,7 +274,7 @@ def _rank_spans(lay):
 @given(raw_layouts())
 @settings(max_examples=200, deadline=None)
 def test_is_valid_and_find_crossing_match_pairwise(lay):
-    graph = Graph(lay.spine.order, lay.edges)
+    graph = Graph(lay.spine.order, tuple(lay.page_of))
     clash = _clashes(_rank_spans(lay))
     assert is_valid(graph, lay) == (not clash)
     found = find_crossing(lay)
@@ -410,38 +410,68 @@ def test_instance_views():
 
 
 # make_instance arguments (ell, spine, fixed edges, new vertices, new
-# edges) that are each malformed in exactly one way
+# edges) that are each malformed in exactly one way, with the message of
+# the InputError each raises
 BAD_INSTANCES = {
-    "duplicate-fixed-edge": (2, "abc", [("a", "b", 1), ("a", "b", 1)], [], []),
-    "duplicate-fixed-edge-reversed": (
-        2, "abc", [("a", "b", 1), ("b", "a", 2)], [], []
+    "duplicate-fixed-edge": (
+        (2, "abc", [("a", "b", 1), ("a", "b", 1)], [], []),
+        "multi-edge in the page assignment",
     ),
-    "fixed-edge-off-spine": (2, "ab", [("a", "z", 1)], [], []),
-    "page-0": (2, "ab", [("a", "b", 0)], [], []),
-    "page-ell-plus-1": (2, "ab", [("a", "b", 3)], [], []),
-    "fixed-self-loop": (2, "ab", [("a", "a", 1)], [], []),
-    "new-self-loop": (2, "ab", [], ["x"], [("x", "x")]),
-    "duplicate-spine-vertex": (2, "aba", [], [], []),
-    "new-vertex-is-old": (2, "ab", [], ["a"], []),
-    "duplicate-new-vertex": (2, "ab", [], ["x", "x"], []),
-    "duplicate-new-edge": (2, "ab", [], ["x"], [("a", "x"), ("x", "a")]),
-    "new-edge-is-fixed": (2, "ab", [("a", "b", 1)], [], [("b", "a")]),
-    "new-edge-unknown-end": (2, "ab", [], ["x"], [("a", "y")]),
-    "crossing-fixed-layout": (1, "abcd", [("a", "c", 1), ("b", "d", 1)], [], []),
-    "ell-0": (0, "ab", [], [], []),
+    "duplicate-fixed-edge-reversed": (
+        (2, "abc", [("a", "b", 1), ("b", "a", 2)], [], []),
+        "multi-edge ('a', 'b')",
+    ),
+    "fixed-edge-off-spine": (
+        (2, "ab", [("a", "z", 1)], [], []),
+        "edge ('a', 'z') has an endpoint off the spine",
+    ),
+    "page-0": (
+        (2, "ab", [("a", "b", 0)], [], []),
+        "page 0 of edge ('a', 'b') outside 1..2",
+    ),
+    "page-ell-plus-1": (
+        (2, "ab", [("a", "b", 3)], [], []),
+        "page 3 of edge ('a', 'b') outside 1..2",
+    ),
+    "fixed-self-loop": ((2, "ab", [("a", "a", 1)], [], []), "self-loop at 'a'"),
+    "new-self-loop": ((2, "ab", [], ["x"], [("x", "x")]), "self-loop at 'x'"),
+    "duplicate-spine-vertex": (
+        (2, "aba", [], [], []),
+        "vertex 'a' appears twice on the spine",
+    ),
+    "new-vertex-is-old": ((2, "ab", [], ["a"], []), "duplicate vertex 'a'"),
+    "duplicate-new-vertex": ((2, "ab", [], ["x", "x"], []), "duplicate vertex 'x'"),
+    "duplicate-new-edge": (
+        (2, "ab", [], ["x"], [("a", "x"), ("x", "a")]),
+        "multi-edge ('a', 'x')",
+    ),
+    "new-edge-is-fixed": (
+        (2, "ab", [("a", "b", 1)], [], [("b", "a")]),
+        "multi-edge ('a', 'b')",
+    ),
+    "new-edge-unknown-end": (
+        (2, "ab", [], ["x"], [("a", "y")]),
+        "edge ('a', 'y') has an unknown endpoint",
+    ),
+    "crossing-fixed-layout": (
+        (1, "abcd", [("a", "c", 1), ("b", "d", 1)], [], []),
+        "given layout is invalid: ('a', 'c') crosses ('b', 'd') on page 1",
+    ),
+    "ell-0": ((0, "ab", [], [], []), "page count must be positive, got 0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
 def test_make_instance_rejects_malformed_pieces(case):
-    ell, spine, fixed, news, new_edges = BAD_INSTANCES[case]
-    with pytest.raises(InputError):
-        make_instance(ell, spine, fixed, news, new_edges)
+    pieces, message = BAD_INSTANCES[case]
+    with pytest.raises(InputError) as exc:
+        make_instance(*pieces)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
 def test_solve_rejects_malformed_instance_file(case, tmp_path):
-    ell, spine, fixed, news, new_edges = BAD_INSTANCES[case]
+    (ell, spine, fixed, news, new_edges), message = BAD_INSTANCES[case]
     doc = {
         "ell": ell,
         "H": {
@@ -455,21 +485,72 @@ def test_solve_rejects_malformed_instance_file(case, tmp_path):
     path.write_text(json.dumps(doc))
     got = CliRunner().invoke(main, ["solve", str(path)])
     assert got.exit_code == 2, got.output
-    lines = got.output.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), got.output
+    assert got.output.splitlines() == [f"error: {message}"], got.output
 
 
 def test_instance_is_its_graph_and_fixed_layout():
     layout = make_layout("abc", 2, [("a", "c", 2)])
-    inst = Instance(Graph(("a", "b", "c", "x"), (("a", "c"), ("b", "x"))), layout)
-    assert inst.ell == 2
-    assert inst.h.vertices == ("a", "b", "c") and inst.h.edges == (("a", "c"),)
+    inst = Instance(layout, ["x"], [("x", "b")])
+    assert inst.ell == 2 and inst.layout_h is layout
     assert inst.new_vertices == ("x",) and inst.new_edges == (("b", "x"),)
     assert inst.kinds.anchors == {"x": ((("b", "x"), 4),)}
-    with pytest.raises(InputError):
-        Instance(Graph(("a", "c"), (("a", "c"),)), layout)
-    with pytest.raises(InputError):
-        Instance(Graph(("a", "b", "c"), ()), layout)
+    assert "g" not in vars(inst)
+    assert inst.g == Graph(("a", "b", "c", "x"), (("a", "c"), ("b", "x")))
+    assert inst == make_instance(2, "abc", [("a", "c", 2)], ["x"], [("b", "x")])
+
+
+@st.composite
+def pieces_with_defects(draw):
+    # make_instance pieces on a few names, the new ones drawn with any
+    # of the defects the new-piece checks look for
+    spine = list(draw(st.permutations("abcde"))[: draw(st.integers(2, 5))])
+    ell = draw(st.integers(1, 3))
+    pairs = draw(
+        st.lists(st.sampled_from(list(itertools.combinations(spine, 2))),
+                 unique=True, max_size=4)
+    )
+    fixed = [(u, v, draw(st.integers(1, ell))) for u, v in pairs]
+    news = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+    names = spine + news
+    free = [e for e in itertools.combinations(names, 2) if e not in pairs]
+    new_edges = []
+    if free:
+        new_edges = draw(st.lists(st.sampled_from(free), unique=True, max_size=5))
+    defects = draw(st.sets(st.sampled_from(
+        ["duplicate", "loop", "multi-edge", "unknown-end", "already-fixed"]
+    )))
+    if "duplicate" in defects:
+        news.append(draw(st.sampled_from(names)))
+    if "loop" in defects:
+        new_edges.append((draw(st.sampled_from(names)),) * 2)
+    if "multi-edge" in defects and new_edges:
+        new_edges.append(draw(st.sampled_from(new_edges)))
+    if "unknown-end" in defects:
+        new_edges.append((draw(st.sampled_from(names)), "q"))
+    if "already-fixed" in defects and pairs:
+        new_edges.append(draw(st.sampled_from(pairs)))
+    new_edges = [
+        (v, u) if draw(st.booleans()) else (u, v)
+        for u, v in draw(st.permutations(new_edges))
+    ]
+    return ell, spine, fixed, news, new_edges
+
+
+@given(pieces_with_defects())
+@settings(max_examples=300, deadline=None)
+def test_instance_construction_matches_graph_of_g(pieces):
+    # the new pieces checked against the fixed layout reject exactly what
+    # one Graph of all of G plus the H-in-G check rejects
+    try:
+        g, layout = reference_instance_parts(*pieces)
+    except InputError:
+        with pytest.raises(InputError):
+            make_instance(*pieces)
+        return
+    inst = make_instance(*pieces)
+    assert inst.layout_h == layout and inst.g == g
+    assert inst.new_vertices == tuple(v for v in g.vertices if v not in layout.spine)
+    assert inst.new_edges == tuple(e for e in g.edges if e not in layout.page_of)
 
 
 def test_instance_rejects_new_edge_already_fixed():

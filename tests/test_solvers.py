@@ -124,7 +124,7 @@ def test_feasible_gaps_keep_every_solution():
         ok = feasible_gaps(inst)
         for sol in enumerate_solutions(inst):
             old_ranks = sorted(
-                sol.rank_of(w) for w in inst.h.vertex_set
+                sol.rank_of(w) for w in inst.layout_h.spine
             )
             for v in inst.new_vertices:
                 r = sol.rank_of(v)
