@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -62,6 +61,9 @@ def _child(conn, text: str, algo: str, cap: Optional[int]) -> None:
 
 def _run_budgeted(inst: Instance, algo: str, cap: Optional[int], budget: float):
     """One solve in a worker process, killed at the deadline."""
+    # imported here so that ``import stackext`` does not pay for it
+    import multiprocessing
+
     text = emit_instance(inst)
     parent, child = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(target=_child, args=(child, text, algo, cap))

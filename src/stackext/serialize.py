@@ -123,6 +123,15 @@ def _edge_docs(layout: Layout) -> list[tuple[Vertex, Vertex, int]]:
 
 
 def _edge_obj(item: Any, where: str, with_page: bool):
+    if type(item) is dict:
+        u, v = item.get("u"), item.get("v")
+        if type(u) is str and type(v) is str:
+            if not with_page:
+                return u, v
+            page = item.get("page")
+            if type(page) is int:
+                return u, v, page
+    # a row that is not plain JSON of the right types: word the error
     if not isinstance(item, dict):
         raise InputError(f"{where} must be an object")
     u, v = _field(item, "u", str, where), _field(item, "v", str, where)

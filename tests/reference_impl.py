@@ -26,7 +26,8 @@ from stackext import (
     make_instance,
     make_layout,
 )
-from stackext.model import Edge, Vertex
+from stackext.generate import TRIES
+from stackext.model import Edge, Vertex, alternates
 
 
 def _clashes(spans_by_page) -> bool:
@@ -495,3 +496,76 @@ def reference_verify_solution(
                     Violation("crossing", f"{e1} crosses {e2} on page {p1}")
                 )
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# random instances, drawn the long way round
+
+
+def reference_gen_random(
+    nh: int,
+    mh: int,
+    ell: int,
+    n_add: int,
+    m_add: int,
+    seed: int,
+) -> Instance:
+    """``gen_random`` the long way round: each draw is checked against
+    every edge on its page, and the new edges are sampled from a list of
+    all remaining pairs.  ``gen_random`` must return the same instance
+    or raise the same error for the same arguments.
+
+    Random extension instance, deterministic per seed.
+
+    The fixed layout is built incrementally: random endpoint pairs and
+    pages are drawn until the edge can join its page without a crossing,
+    so the layout is valid by construction.  :data:`TRIES` bounds the
+    draws per fixed edge; dense requests that keep losing the draw are
+    rejected rather than looped forever.  New edges are sampled from all
+    remaining vertex pairs, so they may also join two old vertices.
+    """
+    if min(nh, mh, n_add, m_add) < 0:
+        raise InputError("sizes must be non-negative")
+    if ell < 1:
+        raise InputError(f"page count must be positive, got {ell}")
+    if mh > 0 and nh < 2:
+        raise InputError(f"{mh} fixed edges need at least 2 fixed vertices")
+    rng = random.Random(seed)
+    old = [f"h{i}" for i in range(1, nh + 1)]
+    spine = old[:]
+    rng.shuffle(spine)
+    rank = {v: i for i, v in enumerate(spine, start=1)}
+    on_page: dict[int, list[tuple[int, int]]] = {p: [] for p in range(1, ell + 1)}
+    h_edges = []
+    chosen = set()
+    for t in range(mh):
+        for _ in range(TRIES):
+            u, v = rng.sample(old, 2)
+            e = edge(u, v)
+            if e in chosen:
+                continue
+            p = rng.randrange(1, ell + 1)
+            a, b = sorted((rank[u], rank[v]))
+            if any(alternates(x, y, a, b) for x, y in on_page[p]):
+                continue
+            chosen.add(e)
+            on_page[p].append((a, b))
+            h_edges.append((e[0], e[1], p))
+            break
+        else:
+            raise InputError(
+                f"could not place fixed edge {t + 1} of {mh} within {TRIES} tries; "
+                f"lower mh or raise ell"
+            )
+    news = [f"n{i}" for i in range(1, n_add + 1)]
+    everyone = spine + news
+    # pairs of a sorted list come out normalized and in sorted order
+    candidates = [
+        e for e in itertools.combinations(sorted(everyone), 2) if e not in chosen
+    ]
+    if m_add > len(candidates):
+        raise InputError(
+            f"asked for {m_add} new edges but only {len(candidates)} pairs remain"
+        )
+    new_es = rng.sample(candidates, m_add)
+    return make_instance(ell, spine, h_edges, news, new_es)

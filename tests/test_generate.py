@@ -1,15 +1,20 @@
 """Random instance generators."""
 
+import itertools
 import random
 
 import pytest
 
 from stackext import (
     InputError,
+    emit_instance,
     find_crossing,
     gen_random,
     random_clique_instance,
 )
+from stackext.generate import _PairsLeft
+
+from reference_impl import reference_gen_random
 
 
 def test_gen_random_is_deterministic():
@@ -57,6 +62,52 @@ def test_gen_random_empty_cases():
     assert inst.n_add == 1
     inst = gen_random(3, 0, 2, 0, 0, seed=3)
     assert inst.m_add == 0
+
+
+def _outcome(gen, args):
+    try:
+        return emit_instance(gen(*args))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# the gen_random shapes of perfbench's refute workload
+_REFUTE_SHAPES = [
+    (80, 64, 3, 0, 5), (60, 48, 2, 2, 6), (100, 80, 2, 0, 6),
+    *[(nh, nh * 4 // 5, 3, 1, 5) for nh in (60, 70, 80, 90, 100)],
+    (100, 80, 3, 1, 6),
+]
+
+
+def test_gen_random_matches_reference():
+    rng = random.Random(23)
+    draws = []
+    for _ in range(3000):
+        nh = rng.randint(0, 40)
+        # up to 2 nh + 2 fixed edges, so that placement dead-ends occur
+        draws.append((nh, rng.randint(0, 2 * nh + 2), rng.randint(1, 3),
+                      rng.randint(0, 4), rng.randint(0, 12), rng.randrange(2**31)))
+    draws += [(*shape, seed) for shape in _REFUTE_SHAPES for seed in range(3)]
+    outcomes = [_outcome(reference_gen_random, args) for args in draws]
+    assert [_outcome(gen_random, args) for args in draws] == outcomes
+    errors = sum(o.startswith("InputError") for o in outcomes)
+    assert 0 < errors < len(draws) // 2
+    assert any("within 100 tries" in o for o in outcomes)
+
+
+def test_pairs_left_lists_the_remaining_pairs():
+    rng = random.Random(5)
+    for n in range(7):
+        names = [f"v{i}" for i in range(n)]
+        every = list(itertools.combinations(names, 2))
+        for _ in range(20):
+            taken = set(rng.sample(every, rng.randint(0, len(every))))
+            view = _PairsLeft(names, taken)
+            left = [e for e in every if e not in taken]
+            assert len(view) == len(left)
+            assert list(view) == left
+            with pytest.raises(IndexError):
+                view[len(view)]
 
 
 def test_random_clique_instance_shape():

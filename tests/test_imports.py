@@ -9,10 +9,15 @@ Definitions: every module-level function and class in ``src/stackext``
 is used somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside its
 own definition, as a name, an attribute, an import or an ``__all__``
 entry.  Functions a ``click`` ``command`` decorator registers are exempt.
+
+Loading: a fresh ``import stackext`` does not load ``multiprocessing``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -124,3 +129,16 @@ def test_no_dead_definitions():
     checked = {p for p in sources if p.startswith("src/stackext/")}
     assert checked
     assert dead_definitions(sources, checked) == []
+
+
+def test_import_loads_no_multiprocessing():
+    # every CLI start and every benchmark set-up pays for what the import loads
+    code = "import sys, stackext; print('multiprocessing' in sys.modules)"
+    path = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -205,6 +205,27 @@ def test_parse_instance_rejects_bad_documents():
             instance_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([1], "instance.H.edges[] must be an object"),
+        ({"v": "c", "page": 1}, "instance.H.edges[] lacks 'u'"),
+        ({"u": "a", "v": 2, "page": 1}, "instance.H.edges[].v must be a str"),
+        ({"u": True, "v": "c", "page": 1}, "instance.H.edges[].u must be a str"),
+        ({"u": "a", "v": "c"}, "instance.H.edges[] lacks 'page'"),
+        ({"u": "a", "v": "c", "page": True}, "instance.H.edges[].page must be an integer"),
+        ({"u": "a", "v": "c", "page": 1.0}, "instance.H.edges[].page must be an integer"),
+    ],
+)
+def test_bad_fixed_row_is_named(row, message):
+    # a bool page is an int to isinstance, but not a page number
+    doc = json.loads(emit_instance(_inst()))
+    doc["H"]["edges"][0] = row
+    with pytest.raises(InputError) as err:
+        instance_from_doc(doc)
+    assert str(err.value) == message
+
+
 _NAMES = st.sampled_from(["a", "b", "c", "x", "y", ""])
 _KEYS = st.sampled_from(
     ["ell", "H", "spine", "edges", "u", "v", "page", "new_vertices", "new_edges"]
