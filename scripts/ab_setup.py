@@ -82,9 +82,9 @@ def main(argv: list[str]) -> int:
 
     metrics = {"setup_s": summary(*([r["setup_s"] for r in runs[s]] for s in runs))}
     for layer in runs["parent"][0]["busy"]:
-        metrics[f"{layer}.busy_s"] = summary(
-            *([r["busy"][layer] for r in runs[s]] for s in runs)
-        )
+        busy = [[r["busy"][layer] for r in runs[s]] for s in runs]
+        if any(map(any, busy)):  # skips a constructor no recipe calls
+            metrics[f"{layer}.busy_s"] = summary(*busy)
     for name, m in metrics.items():
         p, c = m["parent"], m["change"]
         print(f"{name}: {p['median']:.4f} -> {c['median']:.4f} s "

@@ -69,8 +69,8 @@ def gen_random(
     over it.  A draw is then tested in O(1): a set lookup and two list
     reads.  Placing an edge of span ``a < b`` costs at most ``b - a``
     steps.  The new edges are drawn from a view of the remaining pairs
-    that unranks each pair drawn in O(log mh) steps, instead of a list of
-    all of them.
+    that finds each pair drawn by two binary searches, instead of a list
+    of all of them.
     """
     if min(nh, mh, n_add, m_add) < 0:
         raise InputError("sizes must be non-negative")

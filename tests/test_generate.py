@@ -12,7 +12,7 @@ from stackext import (
     gen_random,
     random_clique_instance,
 )
-from stackext.generate import _PairsLeft
+from stackext.generate import TRIES, _PairsLeft
 
 from reference_impl import reference_gen_random
 
@@ -92,7 +92,7 @@ def test_gen_random_matches_reference():
     assert [_outcome(gen_random, args) for args in draws] == outcomes
     errors = sum(o.startswith("InputError") for o in outcomes)
     assert 0 < errors < len(draws) // 2
-    assert any("within 100 tries" in o for o in outcomes)
+    assert any(f"within {TRIES} tries" in o for o in outcomes)
 
 
 def test_pairs_left_lists_the_remaining_pairs():
