@@ -33,8 +33,9 @@ def worker(tree: str, *args: str, stdin: bytes = b"") -> dict:
     return json.loads(done.stdout.decode().strip().splitlines()[-1])
 
 
-def summary(parent: list[float], change: list[float]) -> dict:
-    """Quartiles of both sides and the pairs where the change was lower."""
+def summary(parent: list[float], change: list[float], better: str = "lower") -> dict:
+    """Quartiles of both sides and the pairs where the change was better:
+    lower, or higher when ``better`` is ``"higher"``."""
 
     def quartiles(xs: list[float]) -> dict:
         q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
@@ -44,7 +45,9 @@ def summary(parent: list[float], change: list[float]) -> dict:
     return {
         "parent": p,
         "change": c,
-        "change_better_in_pairs": sum(b < a for a, b in zip(parent, change)),
+        "change_better_in_pairs": sum(
+            b > a if better == "higher" else b < a for a, b in zip(parent, change)
+        ),
         "median_change_rel": c["median"] / p["median"] - 1,
         "parent_iqr_rel": (p["q3"] - p["q1"]) / p["median"],
     }

@@ -27,7 +27,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -125,7 +125,10 @@ class Layout:
     ``page_of`` maps every assigned edge to a page in ``1 .. ell``.
     Whether the assignment is actually crossing-free is checked by
     :func:`is_valid`; keeping construction and validation separate lets
-    solvers assemble candidate layouts cheaply.
+    solvers assemble candidate layouts cheaply.  The loop that checks
+    each edge's ends on the spine also files its doubled ``(lo, hi)``
+    span under its page, in ``page_of`` order; the crossing scans read
+    those lists, so construction sorts nothing.
     """
 
     spine: SpineOrder
@@ -135,9 +138,9 @@ class Layout:
     def __post_init__(self) -> None:
         if self.ell < 1:
             raise InputError(f"page count must be positive, got {self.ell}")
-        on_spine = self.spine._rank  # type: ignore[attr-defined]
+        rank = self.spine._rank  # type: ignore[attr-defined]
         fixed = {}
-        by_page: list[list[Edge]] = [[] for _ in range(self.ell + 1)]
+        spans: list[list[tuple[int, int]]] = [[] for _ in range(self.ell + 1)]
         for (u, v), p in self.page_of.items():
             if u == v:
                 raise InputError(f"self-loop at {u!r}")
@@ -146,22 +149,24 @@ class Layout:
                 raise InputError(f"multi-edge {e!r}")
             if not 1 <= p <= self.ell:
                 raise InputError(f"page {p} of edge {e!r} outside 1..{self.ell}")
-            if u not in on_spine or v not in on_spine:
-                raise InputError(f"edge {e!r} has an endpoint off the spine")
+            try:
+                a, b = rank[u], rank[v]
+            except KeyError:
+                raise InputError(f"edge {e!r} has an endpoint off the spine") from None
             fixed[e] = p
-            by_page[p].append(e)
+            spans[p].append((2 * a, 2 * b) if a < b else (2 * b, 2 * a))
         object.__setattr__(self, "page_of", MappingProxyType(fixed))
-        object.__setattr__(self, "_by_page", tuple(tuple(sorted(es)) for es in by_page))
+        object.__setattr__(self, "_spans", spans)
 
     @cached_property
     def _scans(self) -> tuple:
         # ``_stack_scan`` of each page's doubled spans, at the page's index
-        return (None, *(_stack_scan(_spans(self, p)) for p in range(1, self.ell + 1)))
+        return (None, *map(_stack_scan, self._spans[1:]))  # type: ignore[attr-defined]
 
     def edges_on_page(self, p: Page) -> tuple[Edge, ...]:
         if not 1 <= p <= self.ell:
             raise InputError(f"page {p} outside 1..{self.ell}")
-        return self._by_page[p]  # type: ignore[attr-defined]
+        return tuple(sorted(e for e, q in self.page_of.items() if q == p))
 
     def rank_of(self, v: Vertex) -> int:
         return self.spine.rank_of(v)
@@ -199,16 +204,6 @@ def alternates(a, b, c, d) -> bool:
     return a < c < b < d or c < a < d < b
 
 
-def _spans(layout: Layout, p: Page) -> list[tuple[int, int]]:
-    # doubled ``(lo, hi)`` spans of page ``p``, in ``edges_on_page`` order
-    rank = layout.spine._rank  # type: ignore[attr-defined]
-    out = []
-    for u, v in layout.edges_on_page(p):
-        a, b = 2 * rank[u], 2 * rank[v]
-        out.append((a, b) if a < b else (b, a))
-    return out
-
-
 def _stack_scan(spans):
     """One left-to-right sweep over a page's arcs with a stack of open arcs.
 
@@ -240,7 +235,8 @@ def find_crossing(layout: Layout) -> Optional[tuple[Edge, Edge, Page]]:
     for p in range(1, layout.ell + 1):
         crossing = layout._scans[p][0]
         if crossing is not None:
-            edge_of = dict(zip(_spans(layout, p), layout.edges_on_page(p)))
+            on_page = [e for e, q in layout.page_of.items() if q == p]
+            edge_of = dict(zip(layout._spans[p], on_page))  # type: ignore[attr-defined]
             e1, e2 = sorted(edge_of[span] for span in crossing)
             return e1, e2, p
     return None
@@ -263,17 +259,14 @@ def extends(layout_g: Layout, layout_h: Layout) -> bool:
     True when the smaller spine appears as a subsequence of the larger
     one and every assigned edge keeps its page.
     """
-    it = iter(layout_g.spine)
-    for v in layout_h.spine:
-        for w in it:
-            if w == v:
-                break
-        else:
-            return False
-    for e, p in layout_h.page_of.items():
-        if layout_g.page_of.get(e) != p:
-            return False
-    return True
+    # neither spine repeats a vertex, so the subsequence test is that the
+    # smaller spine's ranks in the larger one increase
+    rank = layout_g.spine._rank  # type: ignore[attr-defined]
+    try:
+        ranks = [rank[v] for v in layout_h.spine.order]
+    except KeyError:
+        return False
+    return ranks == sorted(ranks) and layout_h.page_of.items() <= layout_g.page_of.items()
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +376,31 @@ class Instance:
     ``new_vertices`` keeps its order; ``new_edges`` is normalized and
     sorted.  ``Layout`` checks the fixed part; construction checks the
     new pieces against it and that the fixed layout has no crossing, so
-    H lies in G by construction.  Everything else (G as a graph, the new
-    edges by kind, the index of the fixed layout) is derived on first
-    use, in deterministic order, and cached.
+    H lies in G by construction.  That check leaves ``vertex_set``, the
+    vertices of G, and ``new_edge_set``; G's edges are ``layout_h``'s
+    plus those, so answers are checked from the pieces.  Everything else
+    (G as a graph, the new edges by kind, the index of the fixed layout)
+    is derived on first use, in deterministic order, and cached.
     """
 
     layout_h: Layout
     new_vertices: tuple[Vertex, ...]
     new_edges: tuple[Edge, ...]
+    vertex_set: frozenset[Vertex] = field(init=False, repr=False, compare=False)
+    new_edge_set: frozenset[Edge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lay = self.layout_h
         new_vertices = tuple(self.new_vertices)
         # Graph checks G's vertices and, of its edges, only the new ones
-        new_edges = Graph(lay.spine.order + new_vertices, self.new_edges).edges
-        fixed = lay.page_of.keys() & new_edges
+        new = Graph(lay.spine.order + new_vertices, self.new_edges)
+        fixed = lay.page_of.keys() & new.edges
         if fixed:
             raise InputError(f"multi-edge {min(fixed)!r}")
         object.__setattr__(self, "new_vertices", new_vertices)
-        object.__setattr__(self, "new_edges", new_edges)
+        object.__setattr__(self, "new_edges", new.edges)
+        object.__setattr__(self, "vertex_set", new.vertex_set)
+        object.__setattr__(self, "new_edge_set", new.edge_set)
         conflict = find_crossing(lay)
         if conflict is not None:
             e1, e2, p = conflict
@@ -494,18 +493,28 @@ class Instance:
         return EdgeKinds(tuple(spans), frozen, tuple(links))
 
     def is_solution(self, layout: Layout) -> bool:
-        """Is ``layout`` a valid stack layout of ``g`` extending ``layout_h``?
+        """Is ``layout`` a valid stack layout of G extending ``layout_h``,
+        with every new edge on a page in ``1 .. ell``?
 
-        Only the pages holding a new edge are scanned: fixed edges alone
-        nest on any spine that keeps the order of the fixed one.
+        G is read from the pieces: the spine must hold ``vertex_set``,
+        and ``page_of`` every new edge and nothing beyond the fixed ones,
+        which :func:`extends` checks.  Only the pages holding a new edge
+        are scanned: fixed edges alone nest on any spine that keeps the
+        order of the fixed one.
         """
-        g = self.g
-        if set(layout.spine) != g.vertex_set or set(layout.page_of) != g.edge_set:
+        page_of = layout.page_of
+        if (
+            layout.spine._rank.keys() != self.vertex_set  # type: ignore[attr-defined]
+            or len(page_of) != len(self.layout_h.page_of) + len(self.new_edges)
+            or not page_of.keys() >= self.new_edge_set
+            or not extends(layout, self.layout_h)
+        ):
             return False
-        if not extends(layout, self.layout_h):
+        pages = {page_of[e] for e in self.new_edges}
+        if max(pages, default=0) > self.ell:
             return False
-        pages = {layout.page_of[e] for e in self.new_edges}
-        return all(_stack_scan(_spans(layout, p))[0] is None for p in pages)
+        spans = layout._spans  # type: ignore[attr-defined]
+        return all(_stack_scan(spans[p])[0] is None for p in pages)
 
 
 def make_instance(

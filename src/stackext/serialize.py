@@ -32,7 +32,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Union
 
 from .model import (
-    Edge,
     InputError,
     Instance,
     Layout,
@@ -260,87 +259,125 @@ def verify_solution(
     Checks are layered: naming problems first, then page assignments,
     then fidelity to the fixed layout, then crossings.  Later layers
     skip whatever earlier layers flagged, so each defect is reported
-    once, under its most specific code.
+    once, under its most specific code.  G is read from the instance's
+    pieces: its vertices are ``inst.vertex_set`` and its edges those of
+    ``inst.layout_h`` and ``inst.new_edge_set``.
+
+    Each layer first tests whether it holds as a whole, with dict and
+    set operations; only a layer that fails runs the loop that words
+    its violations, in a fixed order.  A :class:`Layout` is read as rows
+    sorted by edge only on that path.
 
     Crossings cost O(m log m) on a valid solution: each page is proved
     crossing-free by its own stack scan, and only the pages that have a
     crossing have their edges compared pairwise, to list every pair.
+    The scan is this module's own, not the model's.
     """
-    if isinstance(sol, Layout):
-        sol = RawSolution(
-            sol.spine.order,
-            tuple((u, v, p) for (u, v), p in sorted(sol.page_of.items())),
-        )
+    known, new_set, ell = inst.layout_h.page_of, inst.new_edge_set, inst.ell
     out: list[Violation] = []
-    gset = inst.g.vertex_set
-    rank: dict[Vertex, int] = {}
-    for i, v in enumerate(sol.spine, start=1):
-        if v not in gset:
-            out.append(Violation("unknown-vertex", f"{v!r} is not a vertex"))
-        if v in rank:
-            out.append(Violation("duplicate-vertex", f"{v!r} appears twice"))
-        else:
-            rank[v] = i
-    for v in inst.g.vertices:
-        if v not in rank:
-            out.append(Violation("missing-vertex", f"{v!r} not on the spine"))
 
-    assigned: dict[Edge, int] = {}
-    for u, v, p in sol.pages:
-        if u == v:
-            out.append(Violation("unknown-edge", f"self-loop at {u!r}"))
-            continue
-        e = edge(u, v)
-        if e in assigned:
-            out.append(Violation("duplicate-edge", f"{e} assigned twice"))
-            continue
-        assigned[e] = p
-        if e not in inst.g.edge_set:
-            out.append(Violation("unknown-edge", f"{e} is not an edge"))
-        if not 1 <= p <= inst.ell:
-            out.append(
-                Violation("page-out-of-range", f"{e} on page {p}, have 1..{inst.ell}")
-            )
-    for e in inst.g.edges:
-        if e not in assigned:
+    spine = sol.spine.order if isinstance(sol, Layout) else sol.spine
+    rank = dict(zip(spine, range(1, len(spine) + 1)))
+    vertices_ok = len(rank) == len(spine) and rank.keys() == inst.vertex_set
+    if not vertices_ok:
+        rank = {}
+        for i, v in enumerate(spine, start=1):
+            if v not in inst.vertex_set:
+                out.append(Violation("unknown-vertex", f"{v!r} is not a vertex"))
+            if v in rank:
+                out.append(Violation("duplicate-vertex", f"{v!r} appears twice"))
+            else:
+                rank[v] = i
+        for v in inst.layout_h.spine.order + inst.new_vertices:
+            if v not in rank:
+                out.append(Violation("missing-vertex", f"{v!r} not on the spine"))
+
+    if isinstance(sol, Layout):
+        assigned, rows = sol.page_of, len(sol.page_of)
+    else:
+        assigned = {(u, v) if u < v else (v, u): p for u, v, p in sol.pages}
+        rows = len(sol.pages)
+    fixed_kept = known.items() <= assigned.items()
+    edges_ok = (
+        fixed_kept
+        and rows == len(assigned) == len(known) + len(new_set)
+        and assigned.keys() >= new_set
+        and 1 <= min(assigned.values(), default=1)
+        and max(assigned.values(), default=1) <= ell
+    )
+    if not edges_ok:
+        if isinstance(sol, Layout):
+            pages = tuple((u, v, p) for (u, v), p in sorted(sol.page_of.items()))
+        else:
+            pages = sol.pages
+        assigned = {}
+        for u, v, p in pages:
+            if u == v:
+                out.append(Violation("unknown-edge", f"self-loop at {u!r}"))
+                continue
+            e = edge(u, v)
+            if e in assigned:
+                out.append(Violation("duplicate-edge", f"{e} assigned twice"))
+                continue
+            assigned[e] = p
+            if e not in known and e not in new_set:
+                out.append(Violation("unknown-edge", f"{e} is not an edge"))
+            if not 1 <= p <= ell:
+                out.append(
+                    Violation("page-out-of-range", f"{e} on page {p}, have 1..{ell}")
+                )
+        missing = [e for e in (*known, *new_set) if e not in assigned]
+        for e in sorted(missing):
             out.append(Violation("missing-edge-page", f"{e} has no page"))
+        fixed_kept = known.items() <= assigned.items()
 
-    it = iter(sol.spine)
-    for v in inst.layout_h.spine:
-        for w in it:
-            if w == v:
+    old = inst.layout_h.spine.order
+    spine_kept = False
+    if vertices_ok:
+        ranks = [rank[v] for v in old]
+        spine_kept = ranks == sorted(ranks)
+    if not spine_kept:
+        it = iter(spine)
+        for v in old:
+            for w in it:
+                if w == v:
+                    break
+            else:
+                out.append(
+                    Violation(
+                        "spine-order-changed",
+                        f"fixed spine broken at {v!r}",
+                    )
+                )
                 break
-        else:
-            out.append(
-                Violation(
-                    "spine-order-changed",
-                    f"fixed spine broken at {v!r}",
+    if not fixed_kept:
+        for e, p in known.items():
+            q = assigned.get(e)
+            if q is not None and q != p:
+                out.append(
+                    Violation(
+                        "old-edge-page-changed", f"{e} moved from page {p} to {q}"
+                    )
                 )
-            )
-            break
-    for e, p in inst.layout_h.page_of.items():
-        q = assigned.get(e)
-        if q is not None and q != p:
-            out.append(
-                Violation(
-                    "old-edge-page-changed", f"{e} moved from page {p} to {q}"
-                )
-            )
 
-    placeable = [
-        (e, p)
-        for e, p in sorted(assigned.items())
-        if e in inst.g.edge_set
-        and 1 <= p <= inst.ell
-        and e[0] in rank
-        and e[1] in rank
-    ]
-    spans: dict[int, list[tuple[int, int]]] = {}
+    placeable = assigned.items()
+    if not (vertices_ok and edges_ok):
+        placeable = [
+            (e, p)
+            for e, p in placeable
+            if (e in known or e in new_set)
+            and 1 <= p <= ell
+            and e[0] in rank
+            and e[1] in rank
+        ]
+    spans: list[list[tuple[int, int]]] = [[] for _ in range(ell + 1)]
     for (u, v), p in placeable:
         a, b = rank[u], rank[v]
-        spans.setdefault(p, []).append((a, b) if a < b else (b, a))
-    flagged = {p for p, page in spans.items() if not _nested(page)}
-    placeable = [(e, p) for e, p in placeable if p in flagged]
+        spans[p].append((a, b) if a < b else (b, a))
+    flagged = {p for p in range(1, ell + 1) if not _nested(spans[p])}
+    if not flagged:
+        return tuple(out)
+    placeable = sorted((e, p) for e, p in placeable if p in flagged)
     for i, (e1, p1) in enumerate(placeable):
         a, b = sorted((rank[e1[0]], rank[e1[1]]))
         for e2, p2 in placeable[i + 1 :]:

@@ -27,6 +27,7 @@ from stackext import (
     make_layout,
     page_width,
     super_intervals,
+    verify_solution,
 )
 from stackext.cli import main
 from stackext.model import alternates
@@ -147,6 +148,8 @@ def test_extends_positive_and_negatives():
     assert not extends(repaged, h)
     missing = make_layout(("a", "b", "c"), 2, [])
     assert not extends(missing, h)
+    off_spine = make_layout(("a", "c"), 2, [("a", "c", 1)])
+    assert not extends(off_spine, h)
 
 
 def test_page_width_hand_example():
@@ -364,14 +367,18 @@ def test_fixed_layout_is_scanned_once(monkeypatch):
     calls = []
     scan = stackext.model._stack_scan
     monkeypatch.setattr(
-        stackext.model, "_stack_scan", lambda spans: calls.append(1) or scan(spans)
+        stackext.model, "_stack_scan", lambda spans: calls.append(spans) or scan(spans)
     )
-    fixed = [("a", "f", 1), ("b", "d", 1), ("c", "e", 3)]
-    inst = make_instance(3, "abcdef", fixed, ["x"], [("x", "a")])
+    fixed = [("b", "d", 1), ("a", "f", 1), ("e", "c", 3)]
+    layout = make_layout("abcdef", 3, fixed)
+    assert calls == []
+    inst = Instance(layout, ["x"], [("x", "a")])
     assert inst.lookup.deepest(1, 3) == 2
     assert page_width(inst.layout_h) == 2
     assert find_crossing(inst.layout_h) is None
-    assert len(calls) == inst.ell
+    # one scan per page, of the doubled spans the layout filed while it
+    # checked each edge: in ``page_of`` order, not sorted by name
+    assert calls == [[(4, 8), (2, 12)], [], [(6, 10)]]
 
 
 def test_face_lookup_fills_a_deep_rainbow_in_linear_time():
@@ -549,6 +556,8 @@ def test_instance_construction_matches_graph_of_g(pieces):
         return
     inst = make_instance(*pieces)
     assert inst.layout_h == layout and inst.g == g
+    assert inst.vertex_set == g.vertex_set
+    assert inst.new_edge_set | layout.page_of.keys() == g.edge_set
     assert inst.new_vertices == tuple(v for v in g.vertices if v not in layout.spine)
     assert inst.new_edges == tuple(e for e in g.edges if e not in layout.page_of)
 
@@ -609,6 +618,16 @@ def test_is_solution_accepts_and_rejects():
     assert not inst.is_solution(wrong_page)
 
 
+def test_is_solution_rejects_a_page_above_the_instance_ell():
+    # the layout may have more pages than the instance; a new edge on one
+    # of them is no solution, as verify_solution's page-out-of-range says
+    inst = make_instance(1, ["a", "b"], [("a", "b", 1)], ["x"], [("a", "x")])
+    above = make_layout("axb", 2, [("a", "b", 1), ("a", "x", 2)])
+    assert not inst.is_solution(above)
+    assert [v.code for v in verify_solution(inst, above)] == ["page-out-of-range"]
+    assert inst.is_solution(make_layout("axb", 2, [("a", "b", 1), ("a", "x", 1)]))
+
+
 def test_is_solution_scans_only_pages_with_new_edges(monkeypatch):
     fixed = [("a", "c", 1), ("b", "d", 2)]
     inst = make_instance(3, "abcd", fixed, ["x"], [("x", "c")])
@@ -634,10 +653,13 @@ def test_is_solution_matches_is_valid_and_extends(params, rng):
         spine.insert(rng.randint(0, len(spine)), v)
     if rng.random() < 0.2:
         rng.shuffle(spine)
+    # now and then one page more than the instance has
+    ell = inst.ell + (rng.random() < 0.2)
     pages = dict(inst.layout_h.page_of)
-    pages.update({e: rng.randint(1, inst.ell) for e in inst.new_edges})
+    pages.update({e: rng.randint(1, ell) for e in inst.new_edges})
     if pages and rng.random() < 0.2:
-        pages[rng.choice(sorted(pages))] = rng.randint(1, inst.ell)
-    lay = Layout(SpineOrder(tuple(spine)), inst.ell, pages)
+        pages[rng.choice(sorted(pages))] = rng.randint(1, ell)
+    lay = Layout(SpineOrder(tuple(spine)), ell, pages)
     want = is_valid(inst.g, lay) and extends(lay, inst.layout_h)
-    assert inst.is_solution(lay) == want
+    in_range = all(pages[e] <= inst.ell for e in inst.new_edges)
+    assert inst.is_solution(lay) == (want and in_range)

@@ -14,6 +14,7 @@ from stackext import (
     emit_instance,
     emit_solution,
     make_instance,
+    make_layout,
     parse_instance,
     parse_solution,
     solve,
@@ -361,6 +362,12 @@ def test_violation_missing_edge_page():
     raw = _raw_of(inst)
     got = verify_solution(inst, RawSolution(raw.spine, raw.pages[1:]))
     assert "missing-edge-page" in _codes(got)
+    # a fixed edge swapped for a non-edge leaves the number of rows as it is
+    swapped = tuple(
+        ("a", "b", p) if edge(u, v) == ("a", "c") else (u, v, p) for u, v, p in raw.pages
+    )
+    got = verify_solution(inst, RawSolution(raw.spine, swapped))
+    assert _codes(got) == ["unknown-edge", "missing-edge-page"]
 
 
 def test_violation_page_out_of_range():
@@ -500,3 +507,29 @@ def _checked_solutions(draw):
 def test_verify_solution_matches_pairwise_reference(case):
     inst, raw = case
     assert verify_solution(inst, raw) == reference_verify_solution(inst, raw)
+    # the same rows as a Layout with one page fewer or more than the
+    # instance, so that pages run out of range: of the spine and rows it
+    # keeps what a Layout can hold, the first of each vertex and edge
+    spine = tuple(dict.fromkeys(raw.spine))
+    for ell in range(max(1, inst.ell - 1), inst.ell + 2):
+        rows: dict = {}
+        for u, v, p in raw.pages:
+            if u != v and u in spine and v in spine and 1 <= p <= ell:
+                rows.setdefault(edge(u, v), (u, v, p))
+        lay = make_layout(spine, ell, rows.values())
+        assert verify_solution(inst, lay) == reference_verify_solution(inst, lay)
+
+
+def test_solve_verify_emit_build_no_graph():
+    # a yes-answer is checked from the instance's pieces: neither the
+    # solver's self-check nor verify_solution nor the writer builds G
+    yes = 0
+    for inst in random_corpus(40, seed=25_000, v_max=7, ell_max=3):
+        sol = solve(inst, "auto")
+        if sol is None:
+            continue
+        yes += 1
+        assert verify_solution(inst, sol) == ()
+        emit_solution(sol)
+        assert "g" not in vars(inst)
+    assert yes
